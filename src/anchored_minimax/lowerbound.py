@@ -4,11 +4,17 @@ The complexity floor R^2 D^2 / (2*floor(k/2)+1)^2 is realized three
 independent ways, which must agree:
 
 * the closed form R/(2m+1) for the minimax value of |t p(t)| over degree-k
-  polynomials with p(0) = 1, built from an odd Chebyshev polynomial,
+  polynomials with p(0) = 1, built from an odd Chebyshev polynomial and
+  certified by closed-form dual weights on its 2m+2 extremal nodes,
 * the exact minimum residual over the order-(k-1) Krylov subspace of the
   constructed hard instance (brute-force least squares), and
-* the residual of the optimal polynomial solver, which attains the floor on
-  every matrix of norm <= R.
+* the residual of the optimal polynomial solver (the Chebyshev
+  semi-iterative method), which attains the floor on every matrix of
+  norm <= R.
+
+The minimax polynomial is only ever evaluated by its three-term recurrence,
+never from expanded coefficients, so all three agree to 1e-8 at every
+depth (tested up to k = 1000).
 
 Span-respecting algorithm runs are checked against the instance floor at
 every step whose consumed oracle budget fits the instance's design depth.
@@ -80,6 +86,8 @@ class MinimaxPoly:
 
     The polynomial is even of degree 2m, m = floor(k/2); its weighted values
     t p(t) equioscillate with magnitude m_star = R/(2m+1) at 2m+2 nodes.
+    Calls evaluate it by the three-term recurrence of ``_semi_iterate``;
+    ``coeffs`` is the monomial expansion, which overflows from k = 820 on.
     """
 
     k: int
@@ -89,10 +97,7 @@ class MinimaxPoly:
     m_star: float
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for c in self.coeffs[::-1]:
-            out = out * t + c
+        out = _minimax_values(self.m, self.R, np.asarray(t, dtype=float))
         return out if out.ndim else float(out)
 
     def nodes(self) -> np.ndarray:
@@ -122,111 +127,83 @@ def minimax_poly(k: int, R: float = 1.0) -> MinimaxPoly:
     return MinimaxPoly(k=k, m=m, R=R, coeffs=coeffs, m_star=R / (2 * m + 1))
 
 
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1), 0.0)
+def _semi_iterate(m: int, R: float, v, B, Bt):
+    """m steps of the Chebyshev semi-iterative method for B z = v, ||B|| <= R.
+
+    With x^2 = s/R^2, the polynomials S_0 = 1, S_1 = 4x^2 - 3,
+    S_{j+1} = 2(2x^2 - 1) S_j - S_{j-1} satisfy x S_j(x^2) = T_{2j+1}(x), so
+    P_j = (-1)^j S_j / (2j+1) is the degree-2j minimax residual polynomial
+    (P_j(0) = 1).  Normalised, the recurrence reads
+    P_{j+1} = a_j (1 - 2x^2) P_j - b_j P_{j-1} with a_j - b_j = 1 and
+    P_{-1} = P_0 = 1; the iterates z_j follow it with residuals
+    r_j = v - B z_j = P_j(B B^T) v.  ``B`` and ``Bt`` apply B and B^T.
+    Returns (z_m, r_m).
+    """
+    z = z_prev = 0.0
+    r = r_prev = v
+    for j in range(m):
+        a, b = 2 * (2 * j + 1) / (2 * j + 3), (2 * j - 1) / (2 * j + 3)
+        g = (2 / R**2) * Bt(r)
+        z, z_prev = a * (z + g) - b * z_prev, z
+        r, r_prev = a * (r - B(g)) - b * r_prev, r
+    return z, r
 
 
-def _dual_value_and_grad(mu: np.ndarray, t: np.ndarray, k: int):
-    """Inner minimization of sum mu_j t_j^2 p(t_j)^2 over p in P_k."""
-    Phi = np.vander(t, k + 1, increasing=True)[:, 1:]  # columns t^1..t^k
-    w = mu * t * t
-    G = Phi.T @ (w[:, None] * Phi)
-    rhs = -Phi.T @ w
-    c, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    p = 1.0 + Phi @ c
-    return float(w @ (p * p)), t * t * p * p
+def _minimax_values(m: int, R: float, t: np.ndarray) -> np.ndarray:
+    """p(t): the semi-iteration's residual for the scalar equations t z = 1."""
+    return _semi_iterate(m, R, np.ones_like(t), lambda u: t * u, lambda u: t * u)[1]
 
 
-def _dual_weights_ascent(k: int, iters: int = 4000) -> np.ndarray:
-    """Projected supergradient ascent on the concave dual; fallback path.
+def _kkt_residual_cheb(mu: np.ndarray, k: int) -> float:
+    """Worst KKT residual of dual weights on the unit nodes, in the Chebyshev basis.
 
-    Polyak steps (the optimal value 1/(2m+1)^2 is known in closed form)
-    drive the dual value to the optimum quickly, but the dual is
-    quadratically flat there, so the ascent iterate alone cannot pin the
-    stationarity residual below ~sqrt(value gap). A terminal least-squares
-    polish on the full, unreduced stationarity system over the support the
-    ascent found closes the remaining gap.
+    The minimax polynomial p minimizes sum_j mu_j t_j^2 p(t_j)^2 over p(0) = 1
+    exactly when the weights are stationary against every q with q(0) = 0.
+    Since t_j p(t_j) = s_j / (2m+1) with alternating signs s_j, that is
+    sum_j mu_j s_j t_j (T_i(t_j) - T_i(0)) = 0 for i = 1..2m.  Also checks
+    the simplex and the objective 1/(2m+1)^2.  Any non-finite value gives
+    inf.
     """
     m = k // 2
     t = chebyshev_nodes(k, 1.0)
-    n = len(t)
-    target = 1.0 / (2 * m + 1) ** 2
-    mu = np.full(n, 1.0 / n)
-    best_mu, best_gap = mu, np.inf
-    for _ in range(iters):
-        val, grad = _dual_value_and_grad(mu, t, k)
-        gap = target - val
-        if gap < best_gap:
-            best_gap, best_mu = gap, mu
-        gn2 = float(grad @ grad)
-        if gn2 == 0.0 or gap <= 1e-14 * target:
-            break
-        mu = _simplex_project(mu + (gap / gn2) * grad)
-    support = best_mu > 1e-9
-    pv = minimax_poly(k, 1.0)(t)
-    rows = [t[support] ** (2 + i) * pv[support] for i in range(1, 2 * m + 1)]
-    rows.append(np.ones(int(support.sum())))
-    rhs = np.zeros(2 * m + 1)
-    rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), rhs, rcond=None)
-    polished = np.zeros(n)
-    polished[support] = sol
-    if polished.min() >= 0 and _kkt_residual(polished, k) < _kkt_residual(best_mu, k):
-        return polished
-    return best_mu
+    s = (-1.0) ** (m + 1 + np.arange(len(t)))
+    w = mu * s * t
+    x = np.append(t, 0.0)
+    T_prev, T = np.ones_like(x), x
+    stationarity = []
+    for _ in range(2 * m):
+        stationarity.append(T[:-1] @ w - T[-1] * w.sum())
+        T_prev, T = T, 2 * x * T - T_prev
+    pv = _minimax_values(m, 1.0, t)
+    res = np.abs([
+        *stationarity,
+        mu.sum() - 1.0,
+        min(mu.min(), 0.0),
+        np.sum(mu * t * t * pv * pv) - 1.0 / (2 * m + 1) ** 2,
+    ])
+    return float(res.max()) if np.all(np.isfinite(res)) else np.inf
 
 
-def _kkt_residual(mu: np.ndarray, k: int) -> float:
-    """Worst scaled stationarity residual of the dual weights (R = 1)."""
-    m = k // 2
-    t = chebyshev_nodes(k, 1.0)
-    pv = minimax_poly(k, 1.0)(t)
-    worst = 0.0
-    for i in range(1, 2 * m + 1):
-        r = float(np.sum(mu * t ** (2 + i) * pv))
-        worst = max(worst, abs(r))
-    worst = max(worst, abs(float(np.sum(mu)) - 1.0))
-    worst = max(worst, float(-mu.min()) if mu.min() < 0 else 0.0)
-    obj = float(np.sum(mu * t * t * pv * pv))
-    worst = max(worst, abs(obj - 1.0 / (2 * m + 1) ** 2))
-    return worst
-
-
-def dual_weights(k: int, method: str = "solve") -> np.ndarray:
+def dual_weights(k: int) -> np.ndarray:
     """Simplex weights certifying optimality of the minimax polynomial.
 
-    Solves the stationarity system (the optimal polynomial must minimize the
-    weighted node sum), exploiting the +/- symmetry of the node set to halve
-    the unknowns. Weights are scale-free in R. Falls back to projected
-    ascent on the concave dual if the linear solve does not satisfy the KKT
-    conditions; failure of both is an error.
+    Closed form: mu_j proportional to delta_j / t_j^2 on the unit nodes,
+    delta = 1/2 at the two end nodes and 1 elsewhere, normalised to sum 1.
+    delta_j (-1)^j are the barycentric weights of the Chebyshev-Lobatto
+    points of degree 2m+1, so sum_j mu_j s_j t_j q(t_j) vanishes for every
+    q with q(0) = 0 of degree <= 2m (Berrut & Trefethen, SIAM Rev. 2004).
+    Weights are scale-free in R.  They are checked in the Chebyshev basis;
+    failure raises CertificateError.
     """
     if k < 1:
         raise ContractError("k must be >= 1")
-    m = k // 2
     t = chebyshev_nodes(k, 1.0)
-    pv = minimax_poly(k, 1.0)(t)
-    mu = None
-    if method == "solve":
-        pos = t[m + 1:]
-        pv_pos = pv[m + 1:]
-        rows = [2 * pos ** (2 + i) * pv_pos for i in range(2, 2 * m + 1, 2)]
-        rows.append(2 * np.ones_like(pos))
-        rhs = np.zeros(m + 1)
-        rhs[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(np.array(rows), rhs, rcond=None)
-        mu = np.concatenate([sol[::-1], sol])
-        if _kkt_residual(mu, k) >= 1e-8:
-            mu = None
-    if mu is None:
-        mu = _dual_weights_ascent(k)
-        if _kkt_residual(mu, k) >= 1e-8:
-            raise CertificateError(
-                f"dual weights for k={k} failed the KKT check in both paths"
-            )
+    mu = 1.0 / t**2
+    mu[[0, -1]] *= 0.5
+    mu /= mu.sum()
+    res = _kkt_residual_cheb(mu, k)
+    if not res < 1e-12:
+        raise CertificateError(f"dual weights for k={k} failed the KKT check (residual {res:.2e})")
     return mu
 
 
@@ -284,24 +261,24 @@ def _embed_saddle(n: int, a_diag: np.ndarray, b: np.ndarray, c: np.ndarray, R: f
     )
 
 
+def _check_sizes(k: int, n: int, R: float, D: float) -> None:
+    if k < 1 or n < k + 2:
+        raise ContractError(f"need k >= 1 and n >= k + 2, got k={k}, n={n}")
+    if not (0 < R < np.inf and 0 <= D < np.inf):
+        raise ContractError(f"need finite R > 0 and D >= 0, got R={R}, D={D}")
+
+
 def build_hard_instance(k: int, R: float = 1.0, D: float = 1.0, n: int | None = None) -> HardInstance:
     """Construct the depth-k worst-case instance in ambient dimension n >= k+2."""
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    if not (R > 0 and D >= 0):
-        raise ContractError("R must be > 0 and D >= 0")
-    m = k // 2
     n = k + 2 if n is None else n
-    if n < k + 2:
-        raise ContractError(f"n = {n} < k + 2 = {k + 2}")
-    lam = chebyshev_nodes(k, R)
-    mu = dual_weights(k)
-    return _assemble_instance(k, m, n, R, D, lam, mu)
+    _check_sizes(k, n, R, D)
+    return _assemble_instance(k, n, R, D, chebyshev_nodes(k, R), dual_weights(k))
 
 
-def _assemble_instance(k, m, n, R, D, lam, mu) -> HardInstance:
+def _assemble_instance(k, n, R, D, lam, mu) -> HardInstance:
+    m = k // 2
     x_star = np.zeros(n)
-    x_star[: 2 * m + 2] = D * np.sqrt(np.maximum(mu, 0.0))
+    x_star[: 2 * m + 2] = D * np.sqrt(mu)
     a_diag = np.zeros(n)
     a_diag[: 2 * m + 2] = lam
     b = a_diag * x_star
@@ -314,24 +291,17 @@ def _assemble_instance(k, m, n, R, D, lam, mu) -> HardInstance:
     )
 
 
-def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
-    """Exact min of ||A x - b||^2 over the order-(k-1) Krylov subspace of b.
+def _krylov_basis(apply, b: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Orthonormal basis of span{b, A b, ..., A^(depth-1) b}; ``apply`` is v -> A v.
 
     Modified Gram-Schmidt with one reorthogonalization pass keeps the basis
-    orthonormal despite the ill-conditioning of raw power bases; if the
-    Krylov space degenerates early, the minimum over the achieved subspace
-    is returned (the span is unchanged by degeneration).
+    orthonormal despite the ill-conditioning of raw power bases.  Stops early
+    if the Krylov space degenerates (the span is unchanged by degeneration).
     """
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return 0.0
     basis: list[np.ndarray] = []
-    w = b.copy()
-    for _ in range(k):
+    w = b
+    for _ in range(depth):
         v = w.copy()
         for _ in range(2):
             for u in basis:
@@ -340,8 +310,23 @@ def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
         if nv <= 1e-14 * nb:
             break
         basis.append(v / nv)
-        w = A @ basis[-1]
-    Q = np.column_stack(basis)
+        w = apply(basis[-1])
+    return basis
+
+
+def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
+    """Exact min of ||A x - b||^2 over the order-(k-1) Krylov subspace of b.
+
+    If the Krylov space degenerates early, the minimum over the achieved
+    subspace is returned.
+    """
+    if k < 1:
+        raise ContractError("k must be >= 1")
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not b.any():
+        return 0.0
+    Q = np.column_stack(_krylov_basis(lambda v: A @ v, b, k))
     AQ = A @ Q
     coef, *_ = np.linalg.lstsq(AQ, b, rcond=None)
     r = AQ @ coef - b
@@ -351,25 +336,20 @@ def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
 def chebyshev_solver(B: np.ndarray, v: np.ndarray, k: int, R: float) -> np.ndarray:
     """The optimal degree-k polynomial iterate for B z = v with ||B|| <= R.
 
-    Writes the even minimax polynomial as p(sqrt(s)) = 1 - s q(s) and returns
-    q(B^T B) B^T v, using 2*floor(k/2) - 1 <= k - 1 matrix products. Its
-    residual satisfies ||B z - v||^2 <= R^2 D^2 / (2*floor(k/2)+1)^2 whenever
-    v = B z_star with ||z_star|| <= D.
+    Runs m = floor(k/2) steps of the Chebyshev semi-iterative method (Golub &
+    Varga 1961), the three-term recurrence of the minimax polynomial in
+    x^2 = B B^T / R^2, using 2m <= k matrix products.  The iterate is
+    q(B^T B) B^T v with p(sqrt(s)) = 1 - s q(s), so its residual satisfies
+    ||B z - v||^2 <= R^2 D^2 / (2m+1)^2 whenever v = B z_star with
+    ||z_star|| <= D.
     """
-    if k < 1:
-        raise ContractError("k must be >= 1")
+    if k < 1 or not R > 0:
+        raise ContractError("k must be >= 1 and R > 0")
     B = np.asarray(B, dtype=float)
     v = np.asarray(v, dtype=float)
-    poly = minimax_poly(k, R)
-    pe = poly.coeffs[::2]      # coefficients of s^i in p(sqrt(s)); pe[0] = 1
-    q = -pe[1:]                # q(s) = (1 - p(sqrt(s))) / s, ascending
-    if len(q) == 0:
-        return np.zeros_like(v)
-    w = B.T @ v
-    acc = q[-1] * w
-    for c in q[-2::-1]:
-        acc = B.T @ (B @ acc) + c * w
-    return acc
+    if k < 2:
+        return np.zeros(B.shape[1])
+    return _semi_iterate(k // 2, R, v, lambda u: B @ u, lambda u: B.T @ u)[0]
 
 
 @dataclass(frozen=True)
@@ -428,19 +408,7 @@ def verify_lower_bound(
     a_diag = np.zeros(n)
     a_diag[: len(instance.lambdas)] = instance.lambdas
     depth_max = min(int(k), 2 * len(instance.lambdas))
-    basis: list[np.ndarray] = []
-    w = instance.b.copy()
-    nb = np.linalg.norm(w)
-    for _ in range(depth_max):
-        v = w.copy()
-        for _ in range(2):
-            for u in basis:
-                v -= (u @ v) * u
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-14 * nb:
-            break
-        basis.append(v / nv)
-        w = a_diag * basis[-1]
+    basis = _krylov_basis(lambda v: a_diag * v, instance.b, depth_max)
 
     def in_span(block: np.ndarray, depth: int) -> bool:
         nrm = float(np.linalg.norm(block))
@@ -493,6 +461,7 @@ def _instance_text(instance: HardInstance) -> str:
 
 
 def load_instance(path) -> HardInstance:
+    """Read a file written by ``save_instance``; bad fields raise ContractError."""
     fields: dict[str, str] = {}
     with open(path) as f:
         for line in f:
@@ -501,13 +470,26 @@ def load_instance(path) -> HardInstance:
                 continue
             key, _, val = line.partition("=")
             fields[key] = val
-    try:
-        k = int(fields["k"])
-        n = int(fields["n"])
-        R = float(fields["R"])
-        D = float(fields["D"])
-        lam = np.array([float(v) for v in fields["lambdas"].split(",")])
-        mu = np.array([float(v) for v in fields["mu"].split(",")])
-    except KeyError as exc:
-        raise ContractError(f"instance file missing field {exc}") from exc
-    return _assemble_instance(k, k // 2, n, R, D, lam, mu)
+
+    def parse(key, conv):
+        try:
+            return conv(fields[key])
+        except KeyError as exc:
+            raise ContractError(f"instance file missing field {exc}") from exc
+        except ValueError as exc:
+            raise ContractError(f"instance field {key}: {exc}") from exc
+
+    k, n = parse("k", int), parse("n", int)
+    R, D = parse("R", float), parse("D", float)
+    _check_sizes(k, n, R, D)
+    size = 2 * (k // 2) + 2
+    lam, mu = (
+        parse(key, lambda text: np.array([float(v) for v in text.split(",")]))
+        for key in ("lambdas", "mu")
+    )
+    for key, val in (("lambdas", lam), ("mu", mu)):
+        if len(val) != size or not np.all(np.isfinite(val)):
+            raise ContractError(f"instance field {key}: need {size} finite values, got {len(val)}")
+    if mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-12:
+        raise ContractError("instance field mu must be nonnegative and sum to 1 within 1e-12")
+    return _assemble_instance(k, n, R, D, lam, mu)

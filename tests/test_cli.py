@@ -291,3 +291,30 @@ def test_instance_file_as_run_problem(tmp_path, capsys):
     assert code == 0
     header, rows = read_csv(out)
     assert len(rows) == 9
+
+
+@pytest.mark.parametrize(
+    "field, text, needle",
+    [
+        ("lambdas", "-1,-0.5,0.5", "lambdas"),
+        ("lambdas", "-1,nan,0.5,1", "lambdas"),
+        ("mu", "-0.1,0.6,0.4,0.1", "mu"),
+    ],
+)
+def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
+    from anchored_minimax import build_hard_instance, save_instance
+
+    path = tmp_path / "inst.txt"
+    save_instance(build_hard_instance(2), path)
+    lines = [
+        f"{field}={text}" if line.startswith(f"{field}=") else line
+        for line in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = invoke(
+        ["run", "--problem", str(path), "--algo", "eag-v", "--alpha0", "0.5",
+         "--iters", "8", "--out", str(tmp_path / "run.csv")],
+        capsys,
+    )
+    assert code == 2
+    assert f"instance field {needle}" in err

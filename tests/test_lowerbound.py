@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from anchored_minimax import (
     save_instance,
     verify_lower_bound,
 )
-from anchored_minimax.lowerbound import _dual_weights_ascent, _kkt_residual
+from anchored_minimax.lowerbound import _kkt_residual_cheb
 
 
 class TestChebyshev:
@@ -112,7 +114,27 @@ class TestDualWeights:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_kkt_residual_small(self, k):
-        assert _kkt_residual(dual_weights(k), k) < 1e-10
+        assert _kkt_residual_cheb(dual_weights(k), k) < 1e-15
+
+    @pytest.mark.parametrize("k", [2, 24, 64, 256, 1000])
+    def test_kkt_check_separates_true_from_perturbed(self, k):
+        mu = dual_weights(k)
+        assert _kkt_residual_cheb(mu, k) < 1e-14
+        rng = np.random.default_rng(k)
+        bad = mu * (1 + 1e-6 * rng.standard_normal(len(mu)))
+        bad /= bad.sum()  # stays on the simplex: only stationarity can catch it
+        assert _kkt_residual_cheb(bad, k) > 1e-10
+
+    def test_kkt_check_rejects_nan(self):
+        mu = dual_weights(6)
+        assert _kkt_residual_cheb(np.full_like(mu, np.nan), 6) == np.inf
+        mu[3] = np.nan
+        assert _kkt_residual_cheb(mu, 6) == np.inf
+
+    def test_every_depth_builds(self):
+        for k in [*range(1, 257), 512, 1000]:
+            mu = dual_weights(k)
+            assert np.all(mu > 0) and mu.sum() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_oracle_equality_is_the_acceptance_test(self, k):
@@ -121,11 +143,18 @@ class TestDualWeights:
         val = krylov_min_residual(inst.A, inst.b, k)
         assert val == pytest.approx(target, rel=1e-8)
 
-    def test_ascent_fallback_agrees(self):
-        # the projected-ascent path must reach the same KKT certificate
-        for k in (2, 4):
-            mu = _dual_weights_ascent(k, iters=6000)
-            assert _kkt_residual(mu, k) < 1e-8
+    def test_closed_form_matches_stationarity_solve(self):
+        # the least-squares solve of the monomial stationarity system is
+        # well conditioned at small depth and must give the same weights
+        for k in range(2, 11):
+            m = k // 2
+            t = chebyshev_nodes(k)
+            pv = minimax_poly(k)(t)
+            rows = [t ** (2 + i) * pv for i in range(1, 2 * m + 1)] + [np.ones_like(t)]
+            rhs = np.zeros(2 * m + 1)
+            rhs[-1] = 1.0
+            sol, *_ = np.linalg.lstsq(np.array(rows), rhs, rcond=None)
+            assert np.allclose(dual_weights(k), sol, rtol=1e-10, atol=0)
 
 
 class TestHardInstance:
@@ -182,6 +211,54 @@ class TestHardInstance:
         path2 = tmp_path / "again.txt"
         save_instance(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_roundtrip_export_deep(self, tmp_path):
+        inst = build_hard_instance(256, R=0.7, D=1.9, n=260)
+        path = tmp_path / "deep.txt"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        assert np.array_equal(loaded.lambdas, inst.lambdas)
+        assert np.array_equal(loaded.mu, inst.mu)
+
+    @pytest.mark.parametrize(
+        "field, text, needle",
+        [
+            ("lambdas", "1,2", "lambdas: need 4 finite values, got 2"),
+            ("mu", "0.5,0.5", "mu: need 4 finite values"),
+            ("lambdas", "nan,-0.5,0.5,1", "lambdas: need 4 finite values"),
+            ("mu", "inf,0.25,0.25,0.25", "mu: need 4 finite values"),
+            ("mu", "-0.5,1,0.25,0.25", "mu must be nonnegative"),
+            ("mu", "0.25,0.25,0.25,0.26", "mu must be nonnegative and sum to 1"),
+            ("n", "3", "n >= k + 2"),
+            ("R", "0", "R > 0"),
+            ("D", "inf", "D >= 0"),
+            ("k", "two", "instance field k"),
+        ],
+    )
+    def test_load_rejects_bad_fields(self, tmp_path, field, text, needle):
+        path = tmp_path / "bad.txt"
+        save_instance(build_hard_instance(2), path)
+        lines = [
+            f"{field}={text}" if line.startswith(f"{field}=") else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(needle)):
+            load_instance(path)
+
+
+@pytest.mark.parametrize("k", [*range(11, 65), 128, 256, 512, 1000])
+def test_three_way_sandwich_at_depth(k):
+    rng = np.random.default_rng(k)
+    R, D = rng.uniform(0.5, 2.0, size=2)
+    n = k + 2 + int(rng.integers(0, 5))
+    inst = build_hard_instance(k, R, D, n)
+    target = R**2 * D**2 / (2 * (k // 2) + 1) ** 2
+    kry = krylov_min_residual(inst.A, inst.b, k)
+    z = chebyshev_solver(inst.A, inst.b, k, R)
+    cheb = float(np.sum((inst.A @ z - inst.b) ** 2))
+    assert kry == pytest.approx(target, rel=1e-8)
+    assert cheb == pytest.approx(target, rel=1e-8)
 
 
 class TestKrylovOracle:
@@ -247,6 +324,22 @@ class TestChebyshevSolver:
                 resid = float(np.sum((B @ z - v) ** 2))
                 bound = R**2 * D**2 / (2 * (k // 2) + 1) ** 2
                 assert resid <= bound * (1 + 1e-10)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_agrees_with_monomial_horner(self, k):
+        # the expanded-coefficient solver is accurate at small depth
+        rng = np.random.default_rng(k)
+        R = 1.3
+        B = rng.normal(size=(9, 9))
+        B *= R / np.linalg.svd(B, compute_uv=False).max()
+        v = rng.normal(size=9)
+        q = -minimax_poly(k, R).coeffs[2::2]  # p(sqrt(s)) = 1 - s q(s)
+        w = B.T @ v
+        ref = np.zeros(9)
+        for c in q[::-1]:
+            ref = B.T @ (B @ ref) + c * w
+        z = chebyshev_solver(B, v, k, R)
+        assert np.allclose(z, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_attains_floor_on_symmetric_instance(self, k):
