@@ -351,7 +351,7 @@ def run(
     # numpy's own overflow warnings are redundant noise here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NumericalDivergenceError(
                     f"{kind.value} produced a non-finite iterate at iteration {k}"
                 )
@@ -392,7 +392,7 @@ def run(
                     half_iterates.append(z - config.alpha0 * g)
                 z = state.z
 
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericalDivergenceError(
             f"{kind.value} produced a non-finite iterate at iteration {K}"
         )

@@ -45,6 +45,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 LOG_THIN_THRESHOLD = 10_000
+# stored iterates stacked per block of the distance column; bounds its copy
+DIST_BLOCK = 512
 
 
 def _fmt(x: float) -> str:
@@ -73,6 +75,14 @@ def _emission_ks(iters: int, dense: bool) -> list[int]:
         v *= 1.1
     ks.add(iters)
     return sorted(k for k in ks if k <= iters)
+
+
+def _dist_to_saddle_sq(trace, ks: list[int], zs: np.ndarray):
+    """Yield ||z^k - z*||^2 for each k in ``ks``, computed a block at a time."""
+    idx = np.searchsorted(trace.stored_ks, ks)
+    for lo in range(0, len(ks), DIST_BLOCK):
+        Z = np.stack([trace.iterates[i] for i in idx[lo:lo + DIST_BLOCK]])
+        yield from np.sum((Z - zs) ** 2, axis=1).tolist()
 
 
 def _resolve_problem(name: str, seed: int):
@@ -153,6 +163,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if zs is not None:
         header.append("dist_to_saddle_sq")
 
+    dists = _dist_to_saddle_sq(trace, ks, zs) if zs is not None else None
+
     def rows():
         for k in ks:
             row = [str(k), _fmt(trace.grad_sq[k])]
@@ -167,9 +179,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             if with_alpha:
                 row.append(_fmt(trace.alphas[k]))
             row.append(str(int(trace.oracle_calls[k])))
-            if zs is not None:
-                z = trace.iterate(k)
-                row.append(_fmt(float(np.sum((z - zs) ** 2))))
+            if dists is not None:
+                row.append(_fmt(next(dists)))
             yield row
 
     _emit_csv(args.out, header, rows())
@@ -389,7 +400,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = val.strip()
+                defaults[key.strip()] = val.strip()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
     subs = next(
@@ -400,16 +411,18 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     subparser = subs.choices[argv[0]]
     actions = {a.dest: a for a in subparser._actions}
     for key, val in defaults.items():
-        action = actions.get(key)
+        action = actions.get(key.replace("-", "_"))
         if action is None:
-            continue
+            parser.error(
+                f"config file {path}: unknown key {key!r} for subcommand {argv[0]!r}"
+            )
         if action.const in (True, False):  # store_true / store_false flags
             parsed = val.lower() in ("1", "true", "yes")
         elif action.type is not None:
             parsed = action.type(val)
         else:
             parsed = val
-        subparser.set_defaults(**{key: parsed})
+        subparser.set_defaults(**{action.dest: parsed})
     return argv
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -95,7 +95,10 @@ def make_huber_saddle(params: HuberSaddleParams | None = None) -> SaddleProblem:
 
 
 def ouyang_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The banded constraint data A, b, h and curvature H = 2 A^T A."""
+    """The banded constraint data A, b, h and curvature H = 2 A^T A.
+
+    The dense reference for the matrix-free operator of ``make_ouyang_qp``.
+    """
     if n < 2:
         raise ContractError("n must be >= 2")
     A = np.zeros((n, n))
@@ -110,24 +113,46 @@ def ouyang_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return A, b, h, H
 
 
+def _ouyang_apply(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write A v into ``out`` in O(n) and return it.
+
+    A is symmetric: (A v)_i = (v_{n-1-i} - v_{n-2-i}) / 4 for i < n-1 and
+    (A v)_{n-1} = v_0 / 4, a reversed first difference. Each entry takes one
+    rounding (the scaling by 1/4 is exact), as in the dense product.
+    """
+    np.subtract(v[:0:-1], v[-2::-1], out=out[:-1])
+    out[-1] = v[0]
+    out *= 0.25
+    return out
+
+
 def make_ouyang_qp(n: int = 200) -> SaddleProblem:
     """Lagrangian of a linearly constrained QP: L = x'Hx/2 - h'x - <Ax-b, y>.
 
     ||A|| <= 1/2 and ||H|| <= 1/2, so the saddle operator is 1-smooth; the
     declared constant is 1. The saddle point solves A x = b (x = (1, ..., n))
-    and A^T y = H x - h.
+    and A^T y = H x - h. The operator is matrix-free: with H = 2 A^T A it is
+    G(x, y) = (A^T (2 A x - y) - h, A x - b), one application of A and one of
+    A^T = A, O(n) per call.
     """
     A, b, h, H = ouyang_matrices(n)
     xs = np.linalg.solve(A, b)
     ys = np.linalg.solve(A.T, H @ xs - h)
 
     def op(z: np.ndarray) -> np.ndarray:
-        x, y = z[:n], z[n:]
-        return np.concatenate([H @ x - h - A.T @ y, A @ x - b])
+        # a fresh output on every call: callers keep earlier values of G
+        g = np.empty(2 * n)
+        gx, gy = g[:n], g[n:]
+        _ouyang_apply(z[:n], gy)
+        _ouyang_apply(2.0 * gy - z[n:], gx)
+        gx -= h
+        gy -= b
+        return g
 
     def val(z: np.ndarray) -> float:
         x, y = z[:n], z[n:]
-        return float(0.5 * x @ (H @ x) - h @ x - (A @ x - b) @ y)
+        ax = _ouyang_apply(x, np.empty(n))  # x'Hx/2 = ||Ax||^2
+        return float(ax @ ax - h @ x - (ax - b) @ y)
 
     return SaddleProblem(
         name=f"ouyang-qp-{n}",
@@ -343,7 +368,7 @@ def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
         k4 = rhs(t + h, z + h * k3)
         z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = spec.t_start + (i + 1) * h
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > limit:
+        if not np.isfinite(z).all() or np.linalg.norm(z) > limit:
             raise NumericalDivergenceError(
                 f"flow integration blew up at step {i + 1} (t ~ {t:.3g}); "
                 f"try more than {spec.steps} steps"
@@ -377,9 +402,11 @@ def load_preset(name: str) -> tuple[SaddleProblem, Point]:
     """Resolve a preset name to (problem, default starting point)."""
     if name == "huber-default":
         problem = make_huber_saddle()
-        z0 = Point(np.array([1.0, 1.0]) / math.sqrt(2.0), 1)
-        problem.metadata["z0_note"] = "unit norm along (1,1)/sqrt(2)"
-        return problem, z0
+        problem = replace(
+            problem,
+            metadata={**problem.metadata, "z0_note": "unit norm along (1,1)/sqrt(2)"},
+        )
+        return problem, Point(np.array([1.0, 1.0]) / math.sqrt(2.0), 1)
     if name == "ouyang-200":
         problem = make_ouyang_qp(200)
         return problem, Point(np.zeros(400), 200)

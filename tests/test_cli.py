@@ -1,10 +1,12 @@
 import csv
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from anchored_minimax import Point, cli, make_bilinear
 from anchored_minimax.cli import main
 
 
@@ -153,6 +155,51 @@ class TestRunCommand:
         assert code == 0
         _, rows = read_csv(out2)
         assert len(rows) == 4  # explicit flag beat the config value
+
+    def test_config_file_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("problem=bilinear-unit\nalgo=eg\nalpha=0.1\nitres=5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'itres'" in err and "'run'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "ouyang-200", "--algo", "eag-v", "--iters", "1100", "--dense"],
+            ["--problem", "bilinear-unit", "--algo", "eg", "--alpha", "0.1",
+             "--iters", "30000"],
+            ["--problem", "no-saddle", "--algo", "eg", "--alpha", "0.1",
+             "--iters", "600"],
+        ],
+        ids=["dense", "thinned", "no-saddle"],
+    )
+    def test_distance_column_matches_per_row_reference(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        load_preset = cli.load_preset
+
+        def with_unknown_saddle(name):
+            if name == "no-saddle":
+                problem = replace(make_bilinear(), saddle_point=None)
+                return problem, Point(np.array([1.0, 0.0]), 1)
+            return load_preset(name)
+
+        def per_row(trace, ks, zs):
+            for k in ks:
+                yield float(np.sum((trace.iterate(k) - zs) ** 2))
+
+        monkeypatch.setattr(cli, "load_preset", with_unknown_saddle)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        assert invoke(["run", *argv, "--out", str(new)], capsys)[0] == 0
+        monkeypatch.setattr(cli, "_dist_to_saddle_sq", per_row)
+        assert invoke(["run", *argv, "--out", str(ref)], capsys)[0] == 0
+        assert new.read_bytes() == ref.read_bytes()
+        header, rows = read_csv(new)
+        assert ("dist_to_saddle_sq" in header) == (argv[1] != "no-saddle")
+        assert len(rows) > cli.DIST_BLOCK
 
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ANCHORED_MINIMAX_SEED", "3")

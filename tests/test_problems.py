@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchored_minimax import (
+    AlgoConfig,
+    AlgoKind,
     ContractError,
     FlowKind,
     FlowSpec,
     HuberSaddleParams,
     NumericalDivergenceError,
+    check_gradient,
     flow_closed_form,
     integrate_flow,
     load_preset,
@@ -14,8 +21,31 @@ from anchored_minimax import (
     make_huber_saddle,
     make_ouyang_qp,
     make_random_monotone,
+    run,
 )
-from anchored_minimax.problems import ouyang_matrices
+from anchored_minimax.problems import _ouyang_apply, ouyang_matrices
+
+EPS = np.finfo(float).eps
+
+
+def _assert_matches_dense(n: int, z: np.ndarray) -> None:
+    """The matrix-free ouyang operator against the dense matrices.
+
+    A x, A^T y and the y-block A x - b are equal bit for bit: each row of A
+    and each column of A^T has at most two entries +-1/4, so the dense
+    product rounds once, like the reversed difference. The x-block's two
+    evaluation orders differ by at most 8 eps (|A|^T (2|A||x| + |y|) + |h|).
+    """
+    p = make_ouyang_qp(n)
+    A, b, h, H = ouyang_matrices(n)
+    x, y = z[:n], z[n:]
+    assert np.array_equal(_ouyang_apply(x, np.empty(n)), A @ x)
+    assert np.array_equal(_ouyang_apply(y, np.empty(n)), A.T @ y)
+    g = p.operator(z)
+    assert np.array_equal(g[n:], A @ x - b)
+    absA = np.abs(A)
+    bound = 8 * EPS * (absA.T @ (2 * absA @ np.abs(x) + np.abs(y)) + np.abs(h))
+    assert np.all(np.abs(g[:n] - (H @ x - h - A.T @ y)) <= bound)
 
 
 class TestHuberSaddle:
@@ -53,6 +83,14 @@ class TestHuberSaddle:
             )
             assert np.allclose(p.operator(z), expected, atol=1e-18)
 
+    def test_preset_note_is_set_at_construction(self):
+        assert "z0_note" not in make_huber_saddle().metadata
+        p, _ = load_preset("huber-default")
+        assert p.metadata == {
+            **make_huber_saddle().metadata,
+            "z0_note": "unit norm along (1,1)/sqrt(2)",
+        }
+
     def test_parameter_validation_and_advisory(self):
         with pytest.raises(ContractError):
             HuberSaddleParams(delta=0.0, epsilon=1e-5)
@@ -87,6 +125,54 @@ class TestOuyangQP:
         x, y = z[:n], z[n:]
         assert np.allclose(g[:n], H @ x - h - A.T @ y, atol=1e-14)
         assert np.allclose(g[n:], A @ x - b, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 60, 200, 513])
+    def test_matrix_free_operator_matches_dense(self, n):
+        A, _, _, _ = ouyang_matrices(n)
+        assert np.array_equal(A, A.T)  # the operator applies A for A^T
+        rng = np.random.default_rng(n)
+        for scale in (1e-8, 1.0, 1e8):
+            _assert_matches_dense(n, scale * rng.normal(size=2 * n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-8, 8),
+    )
+    def test_matrix_free_operator_matches_dense_property(self, n, seed, exponent):
+        z = np.random.default_rng(seed).normal(size=2 * n)
+        _assert_matches_dense(n, 10.0**exponent * z)
+
+    def test_operator_output_is_fresh(self):
+        # Popov keeps G(z^{k-1}) across calls, so no call may reuse a buffer
+        p = make_ouyang_qp(8)
+        rng = np.random.default_rng(3)
+        z1, z2 = rng.normal(size=16), rng.normal(size=16)
+        g1 = p.operator(z1)
+        kept = g1.copy()
+        p.operator(z2)
+        assert np.array_equal(g1, kept)
+
+    def test_value_matches_operator(self):
+        p = make_ouyang_qp(20)
+        rng = np.random.default_rng(4)
+        points = [p.point(rng.normal(size=40)) for _ in range(3)]
+        assert check_gradient(p, points).passed
+
+    def test_eag_v_run_matches_dense_operator(self):
+        p, z0 = load_preset("ouyang-200")
+        A, b, h, H = ouyang_matrices(200)
+
+        def dense_op(z):
+            x, y = z[:200], z[200:]
+            return np.concatenate([H @ x - h - A.T @ y, A @ x - b])
+
+        dense = replace(p, operator=dense_op)
+        config = AlgoConfig(AlgoKind.EAG_V, 0.618, 2000)
+        got = run(p, config, z0).grad_sq
+        want = run(dense, config, z0).grad_sq
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
 
     def test_feasibility_residual_vanishes_at_saddle(self):
         n = 30
