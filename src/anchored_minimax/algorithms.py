@@ -15,7 +15,6 @@ descent-ascent, and plain simultaneous descent.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,6 +105,8 @@ class Trace:
     ``grad_sq`` and ``oracle_calls`` are dense over k = 0..iters;
     ``oracle_calls[k]`` is the number of operator evaluations the algorithm
     consumed to *produce* z^k (recomputations for recording are not counted).
+    Anchored runs also record ``alphas`` and ``anchor_inner[k] =
+    <G(z^k), z^k - z0>``, both dense, from the same G the step uses.
     Iterates are stored densely up to DENSE_STORE_LIMIT points and thinned to
     powers of two (plus the final iterate) beyond that; ``stored_ks`` lists
     the indices kept.
@@ -121,6 +122,7 @@ class Trace:
     grad_sq: np.ndarray
     oracle_calls: np.ndarray
     alphas: np.ndarray | None = None
+    anchor_inner: np.ndarray | None = None
     anchor_delta: float = 2.0
     metadata: dict = field(default_factory=dict)
 
@@ -207,9 +209,10 @@ def eag_v_alpha_next(alpha_k: float, k: int, R: float) -> float:
 
 def _alpha_next_general(alpha_k: float, k: int, R: float, delta: float) -> float:
     """General anchored recurrence for beta_k = 1/(k+delta)."""
-    a2 = (alpha_k * R) ** 2
-    if not 0 < a2 < 1:
-        raise ContractError(f"alpha_k * R = {math.sqrt(a2)} outside (0, 1)")
+    aR = alpha_k * R
+    if not 0 < aR < 1:  # checked before squaring: a tiny aR squares to 0
+        raise ContractError(f"alpha_k * R = {aR} outside (0, 1)")
+    a2 = aR**2
     bk = 1.0 / (k + delta)
     bk1 = 1.0 / (k + 1 + delta)
     return alpha_k * bk1 * (1.0 - a2 - bk * bk) / (bk * (1.0 - bk) * (1.0 - a2))
@@ -316,7 +319,8 @@ def run(
     Deterministic given (problem, config, z0). Raises
     NumericalDivergenceError naming the iteration if an iterate goes
     non-finite. For the varying-step method, alpha_k * R < 1 is asserted
-    every iteration and alphas are recorded (length iters + 1).
+    every iteration; anchored methods record alphas and anchor_inner
+    (length iters + 1).
     """
     if z0.dim != problem.dim or z0.split != problem.dim_x:
         raise ContractError("z0 does not match problem dimensions")
@@ -340,6 +344,7 @@ def run(
     half_ks: list[int] = []
     half_iterates: list[np.ndarray] = []
     alphas = np.empty(K + 1) if is_eag else None
+    anchor_inner = np.empty(K + 1) if is_eag else None
 
     z = z0.coords.copy()
     z0c = z0.coords
@@ -366,9 +371,11 @@ def run(
                         f"alpha_{k} * R = {a * R} >= 1; varying-step hypothesis broken"
                     )
                 g = np.asarray(op(z), dtype=float)
-                grad_sq[k] = g @ g
+                grad_sq[k] = g.dot(g)
+                d = z0c - z
+                anchor_inner[k] = -g.dot(d)
                 beta = 1.0 / (k + delta)
-                base = z + beta * (z0c - z)
+                base = z + beta * d
                 zh = base - a * g
                 zn = base - a * np.asarray(op(zh), dtype=float)
                 counter.count(2)
@@ -385,7 +392,7 @@ def run(
             else:
                 state = baseline_step(kind, problem, state, config)
                 g = state.g_last
-                grad_sq[k] = g @ g
+                grad_sq[k] = g.dot(g)
                 counter.count(_EVALS_PER_ITER[kind])
                 if two_call and k in store:
                     half_ks.append(k)
@@ -402,7 +409,9 @@ def run(
     stored_ks.append(K)
     iterates.append(z.copy())
     g = np.asarray(op(z), dtype=float)  # recording only, not an algorithm call
-    grad_sq[K] = g @ g
+    grad_sq[K] = g.dot(g)
+    if anchor_inner is not None:
+        anchor_inner[K] = -g.dot(z0c - z)
 
     return Trace(
         kind=kind,
@@ -415,6 +424,7 @@ def run(
         grad_sq=grad_sq,
         oracle_calls=oracle_calls,
         alphas=alphas,
+        anchor_inner=anchor_inner,
         anchor_delta=delta,
         metadata={"alpha0": config.alpha0, "R": R},
     )

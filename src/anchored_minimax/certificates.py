@@ -101,19 +101,17 @@ class LyapunovCoefficients:
         return LyapunovCoefficients.from_alphas(alphas, delta)
 
 
-def lyapunov_sequence(
-    trace: Trace,
-    problem: SaddleProblem,
-    z0: np.ndarray | None = None,
-    delta: float | None = None,
-) -> np.ndarray:
-    """V_k along a stored anchored run, recomputing G at the stored iterates.
+def lyapunov_sequence(trace: Trace, problem: SaddleProblem) -> np.ndarray:
+    """V_k along a stored anchored run, from the run's own oracle values.
 
-    Inner products are recomputed from the iterates rather than accumulated,
-    so the sequence does not drift over long runs. The returned array is
-    aligned with ``trace.stored_ks`` (all of 0..iters for a dense trace); on
-    a thinned trace the subsequence check is still valid, since monotonicity
-    of the full sequence implies it on any subsequence.
+    ``run`` records ||G(z^k)||^2 (``grad_sq``), alpha_k (``alphas``) and
+    <G(z^k), z^k - z0> (``anchor_inner``) densely, each from the G it
+    evaluates anyway, so V costs no second oracle pass; ``problem`` is not
+    evaluated. Each inner product is taken fresh at its own iterate rather
+    than accumulated, so the sequence does not drift over long runs. The
+    returned array is aligned with ``trace.stored_ks`` (all of 0..iters for a
+    dense trace); on a thinned trace the subsequence check is still valid,
+    since monotonicity of the full sequence implies it on any subsequence.
 
     For beta_k = 1/(k+delta) the coefficient recurrences have the closed
     forms B_k = (k+delta-1)/(delta-1) and
@@ -121,18 +119,17 @@ def lyapunov_sequence(
     """
     if trace.alphas is None:
         raise ContractError("trace has no recorded step sizes; run an anchored method")
-    z0 = trace.z0 if z0 is None else np.asarray(z0, dtype=float)
-    delta = trace.anchor_delta if delta is None else delta
+    if trace.anchor_inner is None:
+        raise ContractError(
+            "trace has no recorded anchor inner products; run an anchored method"
+        )
+    ks = trace.stored_ks
+    k = ks.astype(float)
+    delta = trace.anchor_delta
     dm1 = delta - 1.0
-    V = np.empty(len(trace.stored_ks))
-    op = problem.operator
-    for idx, k in enumerate(trace.stored_ks.tolist()):
-        z = trace.iterates[idx]
-        B = (k + delta - 1.0) / dm1
-        A = trace.alphas[k] * (k + delta) * (k + delta - 1.0) / (2.0 * dm1)
-        g = np.asarray(op(z), dtype=float)
-        V[idx] = A * (g @ g) + B * (g @ (z - z0))
-    return V
+    B = (k + delta - 1.0) / dm1
+    A = trace.alphas[ks] * (k + delta) * (k + delta - 1.0) / (2.0 * dm1)
+    return A * trace.grad_sq[ks] + B * trace.anchor_inner[ks]
 
 
 @dataclass(frozen=True)
@@ -190,6 +187,16 @@ def interval_quantities(k: int, alphaR: float) -> IntervalChain:
         raise ContractError(f"alphaR = {a} outside (0, 1/2]")
     if k < 0:
         raise ContractError("k must be >= 0")
+    return IntervalChain(k, a, *_interval_chain(k, a), True)
+
+
+def _interval_chain(k, a: float) -> tuple:
+    """(ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling) at k.
+
+    ``k`` is an int or an int array; the arithmetic is the same either way,
+    so a block of steps gets the per-step values bit for bit. Raises
+    CertificateError at the first k where the comparison chain breaks.
+    """
     ell = a * (k + 2) * (k + 1 + k * a) / (2 * (1 + a))
     upper = a * (k + 2) * (k + 1 - k * a) / (2 * (1 - a))
     mid = a * (k + 1) * (k + 2) / 2
@@ -198,22 +205,23 @@ def interval_quantities(k: int, alphaR: float) -> IntervalChain:
     tau2_a = a * (k + 1) * (k + 1 - a * (k + 2)) / (2 * (1 - a))
     tau2_b = a * a * (k + 1) * (k + 2) / (1 + a)
     tau1_ceiling = (a * a * (k + 1) * (k + 2) + a**3 * (k + 2) ** 2) / (2 * (1 + a))
-    eps = 1e-12 * max(1.0, mid)
+    eps = 1e-12 * np.maximum(1.0, mid)
+    tau2 = np.maximum(tau2_a, tau2_b)
     ok = (
-        upper > mid > ell
-        and ell >= tau1_floor - eps
-        and tau1_floor >= tau_cmp - eps
-        and tau_cmp >= max(tau2_a, tau2_b) - eps
-        and max(tau2_a, tau2_b) >= tau1_ceiling - eps
+        (upper > mid)
+        & (mid > ell)
+        & (ell >= tau1_floor - eps)
+        & (tau1_floor >= tau_cmp - eps)
+        & (tau_cmp >= tau2 - eps)
+        & (tau2 >= tau1_ceiling - eps)
     )
-    if not ok:
+    if not np.all(ok):
+        k_bad = np.ravel(k)[np.argmin(np.ravel(ok))]
         raise CertificateError(
-            f"comparison chain broke at k={k}, alphaR={a}; this contradicts "
+            f"comparison chain broke at k={k_bad}, alphaR={a}; this contradicts "
             "the interval analysis and indicates float catastrophe"
         )
-    return IntervalChain(
-        k, a, ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling, ok
-    )
+    return ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling
 
 
 def _tau_case1(k: int, a: float, A: float) -> float:
@@ -264,6 +272,12 @@ def certificate_null_vector(k: int, alphaR: float, A_k: float) -> np.ndarray:
     return np.array([a * (k + 2) * E7 / (2 * E5), E4 / (2 * (1 - a) * E5), 1.0])
 
 
+# steps per batched eigvalsh/det call: batching removes the per-step numpy
+# dispatch; a bounded block keeps the per-step buffers small and each block's
+# S stack under the allocator's mmap threshold, so repeated calls reuse memory
+EAGC_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class EagCCertificate:
     k: int
@@ -300,40 +314,57 @@ def eag_c_certificate(
         raise ContractError(f"alphaR = {a} fails the step-size conditions")
     if K < 1:
         raise ContractError("K must be >= 1")
+    # the A_k recursion is sequential; the 3x3 checks run a block at a time
     certs: list[EagCCertificate] = []
     A = a / (1 + a)
-    for k in range(K):
-        chain = interval_quantities(k, a)
-        tol_int = 1e-12 * max(1.0, chain.mid)
-        interval_ok = chain.ell - tol_int <= A <= chain.upper + tol_int
-        if not interval_ok:
-            raise CertificateError(
-                f"A_{k} = {A} left [{chain.ell}, {chain.upper}]; "
-                "the proof induction is contradicted"
-            )
-        if A <= chain.mid:
-            case, tau, A_next = "I_minus", _tau_case1(k, a, A), _a_next_case1(k, a, A)
-        else:
-            case, tau, A_next = "I_plus", _tau_case2(k, a, A), _a_next_case2(k, a, A)
-        S = s_matrix(k, a, A, tau, A_next)
-        scale = float(np.abs(S).max())
-        eigs = np.linalg.eigvalsh(S)
-        det = float(np.linalg.det(S))
-        verdict = bool(eigs[0] >= -tol_psd * scale and interval_ok)
-        certs.append(
-            EagCCertificate(
-                k=k,
-                A_k=A,
-                tau_k=tau,
-                S=S,
-                min_eig=float(eigs[0]),
-                det=det,
-                case_tag=case,
-                ell=chain.ell,
-                upper=chain.upper,
-                interval_ok=interval_ok,
-                verdict=verdict,
-            )
-        )
-        A = A_next
+    for lo in range(0, K, EAGC_BLOCK):
+        ks = range(lo, min(lo + EAGC_BLOCK, K))
+        ell, upper, mid = (q.tolist() for q in _interval_chain(np.array(ks), a)[:3])
+        S = np.empty((len(ks), 3, 3))
+        steps = []  # (A_k, tau_k, case, ell, u) per k of the block
+        for i, k in enumerate(ks):
+            tol_int = 1e-12 * max(1.0, mid[i])
+            if not ell[i] - tol_int <= A <= upper[i] + tol_int:
+                raise CertificateError(
+                    f"A_{k} = {A} left [{ell[i]}, {upper[i]}]; "
+                    "the proof induction is contradicted"
+                )
+            if A <= mid[i]:
+                case, tau, A_next = "I_minus", _tau_case1(k, a, A), _a_next_case1(k, a, A)
+            else:
+                case, tau, A_next = "I_plus", _tau_case2(k, a, A), _a_next_case2(k, a, A)
+            S[i] = s_matrix(k, a, A, tau, A_next)
+            steps.append((A, tau, case, ell[i], upper[i]))
+            A = A_next
+        certs += _check_block(S, lo, steps, tol_psd)
     return certs
+
+
+def _check_block(
+    S: np.ndarray, lo: int, steps: list[tuple], tol_psd: float
+) -> list[EagCCertificate]:
+    """Certificates for k = lo.. from the block's stacked S, one eigvalsh and det call."""
+    min_eig = np.linalg.eigvalsh(S)[:, 0]
+    verdict = min_eig >= -tol_psd * np.abs(S).max(axis=(1, 2))
+    return [
+        EagCCertificate(
+            k=k,
+            A_k=A_k,
+            tau_k=tau_k,
+            S=S[k - lo],
+            min_eig=m,
+            det=d,
+            case_tag=case,
+            ell=ell,
+            upper=upper,
+            interval_ok=True,  # an A_k outside its interval raised in the loop
+            verdict=v,
+        )
+        for k, (A_k, tau_k, case, ell, upper), m, d, v in zip(
+            range(lo, lo + len(S)),
+            steps,
+            min_eig.tolist(),
+            np.linalg.det(S).tolist(),
+            verdict.tolist(),
+        )
+    ]

@@ -389,7 +389,7 @@ def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
 # step sizes used in the reference experiments, per problem and method
 PRESET_STEP_SIZES: dict[str, dict[str, float]] = {
     "huber-default": {"eg": 0.1, "eag-c": 0.1, "popov": 0.1, "eag-v": 0.1},
-    "ouyang-200": {"eg": 0.5, "popov": 0.5, "eag-c": 0.1265, "eag-v": 0.618},
+    "ouyang-200": {"eg": 0.5, "popov": 0.5, "eag-c": 0.125, "eag-v": 0.618},
     "bilinear-unit": {"eg": 0.1, "eag-c": 0.1, "popov": 0.1, "eag-v": 0.618},
 }
 

@@ -96,6 +96,13 @@ class TestAlphaRecurrence:
                 eag_v_alpha_next(a, k, 1.0), rel=1e-13
             )
 
+    def test_general_delta_tiny_step_does_not_underflow(self):
+        # (alpha R)^2 underflows to 0 here; alpha R itself is inside (0, 1)
+        # with (alpha R)^2 = 0 the recurrence leaves alpha unchanged
+        assert _alpha_next_general(1e-300, 0, 1.0, 2.697) == pytest.approx(1e-300)
+        with pytest.raises(ContractError):
+            _alpha_next_general(0.0, 0, 1.0, 2.697)
+
     def test_limit_from_golden_start(self):
         lim = eag_v_alpha_limit(0.618, 1.0)
         assert 0.4360 < lim < 0.4372
@@ -197,6 +204,21 @@ class TestRun:
         for idx, k in enumerate(trace.stored_ks.tolist()):
             z = Point(trace.iterates[idx], 1)
             assert trace.grad_sq[k] == grad_sq_norm(bilinear, z)
+
+    @pytest.mark.parametrize("kind", [AlgoKind.EAG_C, AlgoKind.EAG_V])
+    def test_anchor_inner_matches_recomputation(self, kind):
+        # the recorded <G(z^k), z^k - z0> equals a fresh evaluation bit for bit
+        problem, z0 = load_preset("ouyang-200")
+        trace = run(problem, AlgoConfig(kind, 0.1, 300), z0, store_ks={0, 7, 299})
+        assert len(trace.anchor_inner) == 301
+        for idx, k in enumerate(trace.stored_ks.tolist()):
+            z = trace.iterates[idx]
+            g = problem.operator(z)
+            assert trace.anchor_inner[k] == g @ (z - trace.z0)
+
+    def test_anchor_inner_only_for_anchored_methods(self, bilinear):
+        trace = run(bilinear, AlgoConfig(AlgoKind.EG, 0.1, 5), bilinear.point([1, 0]))
+        assert trace.anchor_inner is None
 
     def test_alpha_guard_and_recording(self, bilinear):
         z0 = bilinear.point([1.0, 0.0])

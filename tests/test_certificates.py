@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchored_minimax import (
     AlgoConfig,
     AlgoKind,
     CertificateError,
     ContractError,
+    EagCCertificate,
     LyapunovCoefficients,
+    Trace,
     check_eag_c_stepsize,
     check_lyapunov_monotone,
     eag_c_certificate,
@@ -20,11 +26,86 @@ from anchored_minimax import (
     run,
 )
 from anchored_minimax.certificates import (
+    EAGC_BLOCK,
     _a_next_case1,
     _a_next_case2,
+    _interval_chain,
+    _tau_case1,
     _tau_case2,
     certificate_null_vector,
     s_matrix,
+)
+
+
+def lyapunov_reference(trace, problem):
+    """V_k with G evaluated afresh at every stored iterate, one point at a time."""
+    z0 = trace.z0
+    delta = trace.anchor_delta
+    dm1 = delta - 1.0
+    V = np.empty(len(trace.stored_ks))
+    for idx, k in enumerate(trace.stored_ks.tolist()):
+        z = trace.iterates[idx]
+        B = (k + delta - 1.0) / dm1
+        A = trace.alphas[k] * (k + delta) * (k + delta - 1.0) / (2.0 * dm1)
+        g = np.asarray(problem.operator(z), dtype=float)
+        V[idx] = A * (g @ g) + B * (g @ (z - z0))
+    return V
+
+
+def eag_c_reference(alphaR, K, tol_psd=1e-9):
+    """The constant-step proof chain with one eigvalsh and one det per k."""
+    a = alphaR
+    certs = []
+    A = a / (1 + a)
+    for k in range(K):
+        chain = interval_quantities(k, a)
+        tol_int = 1e-12 * max(1.0, chain.mid)
+        interval_ok = chain.ell - tol_int <= A <= chain.upper + tol_int
+        assert interval_ok
+        if A <= chain.mid:
+            case, tau, A_next = "I_minus", _tau_case1(k, a, A), _a_next_case1(k, a, A)
+        else:
+            case, tau, A_next = "I_plus", _tau_case2(k, a, A), _a_next_case2(k, a, A)
+        S = s_matrix(k, a, A, tau, A_next)
+        scale = float(np.abs(S).max())
+        eigs = np.linalg.eigvalsh(S)
+        det = float(np.linalg.det(S))
+        verdict = bool(eigs[0] >= -tol_psd * scale and interval_ok)
+        certs.append(EagCCertificate(
+            k, A, tau, S, float(eigs[0]), det, case, chain.ell, chain.upper,
+            interval_ok, verdict,
+        ))
+        A = A_next
+    return certs
+
+
+def indefinite_at(j, monkeypatch):
+    """Make S_j indefinite (a negative diagonal entry) inside eag_c_certificate."""
+    import anchored_minimax.certificates as certs_mod
+
+    original = certs_mod.s_matrix
+
+    def doctored(k, alphaR, A_k, tau_k, A_next):
+        S = original(k, alphaR, A_k, tau_k, A_next)
+        if k == j:
+            S[0, 0] = -np.abs(S).max()
+        return S
+
+    monkeypatch.setattr(certs_mod, "s_matrix", doctored)
+
+
+def random_monotone_run(n, seed, alpha0R, delta, iters=200):
+    p, z0 = load_preset(f"random-monotone:{n}:{seed}")
+    config = AlgoConfig(AlgoKind.EAG_V, alpha0R / p.lipschitz, iters, anchor_delta=delta)
+    return p, z0, run(p, config, z0, dense=True)
+
+
+RUN_DRAWS = dict(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    alpha0R=st.floats(0.0, 0.74, exclude_min=True, exclude_max=True,
+                      allow_subnormal=False),
+    delta=st.sampled_from([2.0, 2.697]),
 )
 
 
@@ -130,6 +211,54 @@ class TestLyapunovSequence:
         with pytest.raises(ContractError):
             lyapunov_sequence(trace, p)
 
+    def test_requires_recorded_anchor_inner(self):
+        p = make_bilinear(1.0)
+        full = run(p, AlgoConfig(AlgoKind.EAG_V, 0.618, 10), p.point([1.0, 0.0]))
+        trace = Trace(
+            kind=full.kind,
+            problem_name=full.problem_name,
+            z0=full.z0,
+            stored_ks=full.stored_ks,
+            iterates=full.iterates,
+            half_ks=full.half_ks,
+            half_iterates=full.half_iterates,
+            grad_sq=full.grad_sq,
+            oracle_calls=full.oracle_calls,
+            alphas=full.alphas,
+        )
+        with pytest.raises(ContractError, match="anchor inner"):
+            lyapunov_sequence(trace, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**RUN_DRAWS)
+    def test_matches_fresh_oracle_reference_bitwise(self, n, seed, alpha0R, delta):
+        p, _, trace = random_monotone_run(n, seed, alpha0R, delta)
+        V = lyapunov_sequence(trace, p)
+        assert V.tobytes() == lyapunov_reference(trace, p).tobytes()
+
+    @pytest.mark.parametrize(
+        "preset, kind, alpha0, iters",
+        [
+            ("bilinear-unit", AlgoKind.EAG_V, 0.618, 12_000),  # thinned
+            ("huber-default", AlgoKind.EAG_C, 0.1, 2000),
+            ("ouyang-200", AlgoKind.EAG_V, 0.618, 1000),
+        ],
+    )
+    def test_matches_fresh_oracle_reference_on_presets(self, preset, kind, alpha0, iters):
+        p, z0 = load_preset(preset)
+        trace = run(p, AlgoConfig(kind, alpha0, iters), z0)
+        assert trace.is_dense == (iters < 10_000)
+        V = lyapunov_sequence(trace, p)
+        assert V.tobytes() == lyapunov_reference(trace, p).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**RUN_DRAWS)
+    def test_monotone_on_random_monotone_problems(self, n, seed, alpha0R, delta):
+        p, z0, trace = random_monotone_run(n, seed, alpha0R, delta)
+        D2 = float(np.sum((z0.coords - p.saddle_point.coords) ** 2))
+        report = check_lyapunov_monotone(lyapunov_sequence(trace, p), p.lipschitz**2 * D2)
+        assert report.passed, report.violations[:3]
+
     def test_thinned_trace_checks_subsequence(self):
         p = make_bilinear(1.0)
         z0 = p.point([1.0, 0.0])
@@ -168,6 +297,23 @@ class TestIntervalQuantities:
         chain = interval_quantities(5, 1e-8)
         assert chain.chain_holds
         assert chain.upper < 1e-6
+
+    @pytest.mark.parametrize("alpha", [1e-8, 0.05, 0.125, 0.5])
+    def test_block_matches_scalar_bitwise(self, alpha):
+        ks = np.arange(3000)
+        block = _interval_chain(ks, alpha)
+        for k in range(0, 3000, 7):
+            c = interval_quantities(int(k), alpha)
+            scalar = (c.ell, c.upper, c.mid, c.tau1_floor, c.tau_cmp,
+                      c.tau2_a, c.tau2_b, c.tau1_ceiling)
+            assert [float(q[k]).hex() for q in block] == [x.hex() for x in scalar]
+
+    def test_chain_break_names_first_failing_step(self):
+        # at alphaR = 1e-8 the chain's float margins vanish by k ~ 1e8
+        with pytest.raises(CertificateError, match="k=123456789,"):
+            interval_quantities(123456789, 1e-8)
+        with pytest.raises(CertificateError, match="k=123456789,"):
+            _interval_chain(np.array([5, 123456789, 123456790]), 1e-8)
 
     def test_domain_error(self):
         with pytest.raises(ContractError):
@@ -224,6 +370,33 @@ class TestEagCCertificate:
         assert _a_next_case1(k, a, mid) == pytest.approx(
             _a_next_case2(k, a, mid), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "alphaR, K",
+        [(0.05, 2000), (0.1, 2000), (0.125, 2000),
+         (0.125, 1), (0.125, EAGC_BLOCK), (0.125, EAGC_BLOCK + 1)],
+    )
+    def test_matches_per_step_reference_bitwise(self, alphaR, K):
+        got = eag_c_certificate(alphaR, K)
+        want = eag_c_reference(alphaR, K)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(EagCCertificate):
+                x, y = getattr(g, f.name), getattr(w, f.name)
+                assert type(x) is type(y), (g.k, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), g.k
+                elif isinstance(x, float):
+                    assert x.hex() == y.hex(), (g.k, f.name)
+                else:
+                    assert x == y, (g.k, f.name)
+
+    @pytest.mark.parametrize("j", [0, 37, EAGC_BLOCK - 1, EAGC_BLOCK, 2099])
+    def test_indefinite_slack_matrix_fails_exactly_there(self, j, monkeypatch):
+        indefinite_at(j, monkeypatch)
+        certs = eag_c_certificate(0.125, 2100)
+        assert [c.k for c in certs if not c.verdict] == [j]
+        assert certs[j].min_eig < 0
 
     def test_interval_escape_raises(self, monkeypatch):
         import anchored_minimax.certificates as certs_mod

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -68,19 +69,32 @@ class TestRunCommand:
         assert float(rows[-1][1]) < float(rows[0][1])  # converging
 
     def test_eagc_beyond_theorem_runs_without_bound_column(self, tmp_path, capsys):
-        # the benchmark step size for this problem narrowly fails the exact
-        # polynomial conditions: the run proceeds with a warning and the
-        # bound column is suppressed
+        # 0.1265 narrowly fails the exact polynomial conditions: the run
+        # proceeds with a warning and the bound column is suppressed
         out = tmp_path / "oc.csv"
         with pytest.warns(RuntimeWarning):
+            code, _, _ = invoke(
+                ["run", "--problem", "ouyang-200", "--algo", "eag-c",
+                 "--alpha", "0.1265", "--iters", "20", "--out", str(out)],
+                capsys,
+            )
+        assert code == 0
+        header, _ = read_csv(out)
+        assert "bound" not in header
+
+    def test_eagc_preset_step_has_bound_column(self, tmp_path, capsys):
+        out = tmp_path / "oc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, _, _ = invoke(
                 ["run", "--problem", "ouyang-200", "--algo", "eag-c",
                  "--iters", "20", "--out", str(out)],
                 capsys,
             )
         assert code == 0
-        header, _ = read_csv(out)
-        assert "bound" not in header
+        header, rows = read_csv(out)
+        assert header[:3] == ["k", "grad_sq", "bound"]
+        assert all(float(r[1]) <= float(r[2]) for r in rows)
 
     def test_unknown_preset_exit_2(self, capsys):
         code, _, err = invoke(
@@ -240,6 +254,23 @@ class TestCertifyCommand:
         header, rows = read_csv(out)
         assert header[0] == "k" and len(rows) == 200
         assert all(r[-1] == "1" for r in rows)
+
+    def test_eagc_reports_first_failing_step(self, capsys, monkeypatch):
+        import anchored_minimax.certificates as certs_mod
+
+        original = certs_mod.s_matrix
+
+        def indefinite_at_37(k, alphaR, A_k, tau_k, A_next):
+            S = original(k, alphaR, A_k, tau_k, A_next)
+            if k == 37:
+                S[0, 0] = -np.abs(S).max()
+            return S
+
+        monkeypatch.setattr(certs_mod, "s_matrix", indefinite_at_37)
+        code, out, err = invoke(["certify", "eagc", "--alphaR", "0.125", "--k", "100"],
+                                capsys)
+        assert code == 1 and "FAIL" in out
+        assert "first failure at k=37" in err
 
     def test_lyapunov_pass(self, capsys):
         code, out, _ = invoke(

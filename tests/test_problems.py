@@ -13,6 +13,7 @@ from anchored_minimax import (
     FlowSpec,
     HuberSaddleParams,
     NumericalDivergenceError,
+    check_eag_c_stepsize,
     check_gradient,
     flow_closed_form,
     integrate_flow,
@@ -23,7 +24,7 @@ from anchored_minimax import (
     make_random_monotone,
     run,
 )
-from anchored_minimax.problems import _ouyang_apply, ouyang_matrices
+from anchored_minimax.problems import PRESET_STEP_SIZES, _ouyang_apply, ouyang_matrices
 
 EPS = np.finfo(float).eps
 
@@ -315,3 +316,13 @@ def test_unknown_preset_rejected():
         load_preset("no-such-problem")
     with pytest.raises(ContractError):
         load_preset("random-monotone:8")  # seed segment missing
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_STEP_SIZES))
+def test_preset_step_sizes_meet_rate_hypotheses(preset):
+    # a preset step outside the theorem would drop the CLI's bound column
+    problem, _ = load_preset(preset)
+    R = problem.lipschitz
+    steps = PRESET_STEP_SIZES[preset]
+    assert check_eag_c_stepsize(steps["eag-c"] * R)
+    assert 0 < steps["eag-v"] * R < 0.75
