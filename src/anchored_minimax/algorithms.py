@@ -372,10 +372,10 @@ def run(
                     )
                 g = np.asarray(op(z), dtype=float)
                 grad_sq[k] = g.dot(g)
-                d = z0c - z
-                anchor_inner[k] = -g.dot(d)
+                d = z - z0c
+                anchor_inner[k] = g.dot(d)
                 beta = 1.0 / (k + delta)
-                base = z + beta * d
+                base = z - beta * d
                 zh = base - a * g
                 zn = base - a * np.asarray(op(zh), dtype=float)
                 counter.count(2)
@@ -411,7 +411,7 @@ def run(
     g = np.asarray(op(z), dtype=float)  # recording only, not an algorithm call
     grad_sq[K] = g.dot(g)
     if anchor_inner is not None:
-        anchor_inner[K] = -g.dot(z0c - z)
+        anchor_inner[K] = g.dot(z - z0c)
 
     return Trace(
         kind=kind,
