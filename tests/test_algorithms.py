@@ -97,8 +97,8 @@ class TestAlphaRecurrence:
             )
 
     def test_general_delta_tiny_step_does_not_underflow(self):
-        # (alpha R)^2 underflows to 0 here; alpha R itself is inside (0, 1)
-        # with (alpha R)^2 = 0 the recurrence leaves alpha unchanged
+        # (alpha R)^2 underflows to 0 although alpha R is inside (0, 1); with
+        # a zero square the recurrence leaves alpha unchanged
         assert _alpha_next_general(1e-300, 0, 1.0, 2.697) == pytest.approx(1e-300)
         with pytest.raises(ContractError):
             _alpha_next_general(0.0, 0, 1.0, 2.697)
