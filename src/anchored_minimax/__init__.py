@@ -24,14 +24,12 @@ from .core import (
 from .algorithms import (
     AlgoConfig,
     AlgoKind,
-    BaselineState,
     Trace,
-    baseline_step,
     eag_step,
     eag_v_alpha_limit,
     eag_v_alpha_next,
-    eg_step,
     run,
+    store_plan,
     theoretical_bound,
 )
 from .certificates import (

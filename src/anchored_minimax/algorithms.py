@@ -1,11 +1,12 @@
 """Anchored extragradient solvers and baselines, run loops, rate constants.
 
-The two accelerated methods share the update
+The two accelerated methods and extragradient share the update
 
     z_half = z_k + beta_k (z0 - z_k) - alpha_k G(z_k)
     z_next = z_k + beta_k (z0 - z_k) - alpha_k G(z_half)
 
-with anchoring coefficients beta_k = 1/(k + delta), delta = 2 by default.
+with anchoring coefficients beta_k = 1/(k + delta), delta = 2 by default,
+and beta_k = 0 for extragradient.
 The constant-step variant keeps alpha fixed; the varying-step variant drives
 alpha_k by a recurrence that decreases monotonically to a positive limit and
 admits a cleaner Lyapunov proof. Baselines: extragradient, optimistic descent
@@ -34,11 +35,9 @@ __all__ = [
     "AlgoConfig",
     "Trace",
     "eag_step",
-    "eg_step",
     "eag_v_alpha_next",
     "eag_v_alpha_limit",
-    "BaselineState",
-    "baseline_step",
+    "store_plan",
     "run",
     "theoretical_bound",
 ]
@@ -107,9 +106,9 @@ class Trace:
     consumed to *produce* z^k (recomputations for recording are not counted).
     Anchored runs also record ``alphas`` and ``anchor_inner[k] =
     <G(z^k), z^k - z0>``, both dense, from the same G the step uses.
-    Iterates are stored densely up to DENSE_STORE_LIMIT points and thinned to
-    powers of two (plus the final iterate) beyond that; ``stored_ks`` lists
-    the indices kept.
+    Iterates are kept at ``stored_ks = store_plan(iters, dense)``, the rows
+    the CLI emits. Half-iterates are not stored; ``half_ks`` and
+    ``half_iterates`` stay empty, kept only for the benchmark's size count.
     """
 
     kind: AlgoKind
@@ -117,14 +116,14 @@ class Trace:
     z0: np.ndarray
     stored_ks: np.ndarray
     iterates: list[np.ndarray]
-    half_ks: np.ndarray
-    half_iterates: list[np.ndarray]
     grad_sq: np.ndarray
     oracle_calls: np.ndarray
     alphas: np.ndarray | None = None
     anchor_inner: np.ndarray | None = None
     anchor_delta: float = 2.0
     metadata: dict = field(default_factory=dict)
+    half_ks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    half_iterates: list[np.ndarray] = field(default_factory=list)
 
     @property
     def iters(self) -> int:
@@ -141,29 +140,21 @@ class Trace:
         return self.iterates[idx]
 
 
-def _store_plan(iters: int, dense: bool) -> np.ndarray:
-    if dense or iters + 1 <= DENSE_STORE_LIMIT:
+def store_plan(iters: int, dense: bool) -> np.ndarray:
+    """The iteration indices a run keeps and the CLI emits, ascending.
+
+    Every k for ``dense`` or up to DENSE_STORE_LIMIT iterations; beyond that
+    k <= 1000, round(1.1^j) for j >= 0, and the final k.
+    """
+    if dense or iters <= DENSE_STORE_LIMIT:
         return np.arange(iters + 1)
-    ks = set(range(DENSE_STORE_LIMIT))
-    p = 1
-    while p <= iters:
-        ks.add(p)
-        p *= 2
+    ks = set(range(1001))
+    v = 1.0
+    while v <= iters:
+        ks.add(int(round(v)))
+        v *= 1.1
     ks.add(iters)
     return np.array(sorted(k for k in ks if k <= iters))
-
-
-def eg_step(
-    problem: SaddleProblem,
-    z_k: Point,
-    alpha: float,
-    counter: OracleCounter | None = None,
-) -> tuple[Point, Point]:
-    """One extragradient step; exactly two operator evaluations."""
-    zh, zn = _eag_step_raw(problem.operator, z_k.coords, z_k.coords, 0.0, alpha)
-    if counter is not None:
-        counter.count(2)
-    return Point(zh, problem.dim_x), Point(zn, problem.dim_x)
 
 
 def eag_step(
@@ -183,39 +174,33 @@ def eag_step(
         raise ContractError("beta_k must lie in [0, 1)")
     if not alpha_k > 0:
         raise ContractError("alpha_k must be > 0")
-    zh, zn = _eag_step_raw(problem.operator, z_k.coords, z0.coords, beta_k, alpha_k)
+    z = z_k.coords
+    g = np.asarray(problem.operator(z), dtype=float)
+    zh, zn = _extragradient(problem.operator, z - beta_k * (z - z0.coords), g, alpha_k)
     if counter is not None:
         counter.count(2)
     return Point(zh, problem.dim_x), Point(zn, problem.dim_x)
 
 
-def _eag_step_raw(op, z, z0, beta, alpha):
-    base = z + beta * (z0 - z)
-    zh = base - alpha * np.asarray(op(z), dtype=float)
-    zn = base - alpha * np.asarray(op(zh), dtype=float)
-    return zh, zn
+def _extragradient(op, base: np.ndarray, g: np.ndarray, alpha: float):
+    """(z_half, z_next) = (base - alpha g, base - alpha G(base - alpha g)).
+
+    ``g`` is G(z_k) and ``base`` is z_k - beta_k (z_k - z0); EG has base = z_k.
+    """
+    zh = base - alpha * g
+    return zh, base - alpha * np.asarray(op(zh), dtype=float)
 
 
-def eag_v_alpha_next(alpha_k: float, k: int, R: float) -> float:
-    """Varying-step recurrence for beta_k = 1/(k+2); strictly decreasing.
+def eag_v_alpha_next(alpha_k: float, k: int, R: float, delta: float = 2.0) -> float:
+    """Varying-step recurrence for beta_k = 1/(k+delta); strictly decreasing.
 
-    alpha_{k+1} = alpha_k (1 - alpha_k^2 R^2 / ((k+1)(k+3)(1 - alpha_k^2 R^2))).
+    alpha_{k+1} = alpha_k (1 - (a^2 / (1 - a^2)) / ((k+delta-1)(k+delta+1)))
+    with a = alpha_k R; at delta = 2 the denominator is (k+1)(k+3).
     """
     a = alpha_k * R
-    if not 0 < a < 1:
+    if not 0 < a < 1:  # checked before squaring: a tiny a squares to 0
         raise ContractError(f"alpha_k * R = {a} outside (0, 1)")
-    return alpha_k * (1.0 - (a * a / (1.0 - a * a)) / ((k + 1) * (k + 3)))
-
-
-def _alpha_next_general(alpha_k: float, k: int, R: float, delta: float) -> float:
-    """General anchored recurrence for beta_k = 1/(k+delta)."""
-    aR = alpha_k * R
-    if not 0 < aR < 1:  # checked before squaring: a tiny aR squares to 0
-        raise ContractError(f"alpha_k * R = {aR} outside (0, 1)")
-    a2 = aR**2
-    bk = 1.0 / (k + delta)
-    bk1 = 1.0 / (k + 1 + delta)
-    return alpha_k * bk1 * (1.0 - a2 - bk * bk) / (bk * (1.0 - bk) * (1.0 - a2))
+    return alpha_k * (1.0 - (a * a / (1.0 - a * a)) / ((k + delta - 1) * (k + delta + 1)))
 
 
 def eag_v_alpha_limit(
@@ -241,83 +226,18 @@ def eag_v_alpha_limit(
     return a
 
 
-@dataclass
-class BaselineState:
-    """State threaded through baseline_step.
-
-    ``g_prev`` holds G(z^{k-1}) for optimistic descent; at k = 0 it is
-    initialized to G(z^0), which makes the first step a plain gradient step.
-    """
-
-    z: np.ndarray
-    z0: np.ndarray
-    k: int = 0
-    g_prev: np.ndarray | None = None
-    g_last: np.ndarray | None = None
-    evals: int = 0
-
-
-def baseline_step(
-    kind: AlgoKind,
-    problem: SaddleProblem,
-    state: BaselineState,
-    config: AlgoConfig,
-) -> BaselineState:
-    """Advance one of the non-anchored-extragradient baselines by one step."""
-    op = problem.operator
-    alpha = config.alpha0
-    z, z0, k = state.z, state.z0, state.k
-    nx = problem.dim_x
-    if kind == AlgoKind.EG:
-        g = np.asarray(op(z), dtype=float)
-        zh = z - alpha * g
-        zn = z - alpha * np.asarray(op(zh), dtype=float)
-        used = 2
-    elif kind == AlgoKind.POPOV:
-        g = np.asarray(op(z), dtype=float)
-        g_prev = state.g_prev if state.g_prev is not None else g
-        zn = z - alpha * g - alpha * (g - g_prev)
-        state.g_prev = g
-        used = 1
-    elif kind == AlgoKind.SIMGD_A:
-        p, gamma = config.simgd_p, config.simgd_gamma
-        g = np.asarray(op(z), dtype=float)
-        zn = z - (1 - p) / (k + 1) ** p * g + (1 - p) * gamma / (k + 1) * (z0 - z)
-        used = 1
-    elif kind == AlgoKind.ALT_GDA:
-        g = np.asarray(op(z), dtype=float)
-        x_new = z[:nx] - alpha * g[:nx]
-        z_mid = np.concatenate([x_new, z[nx:]])
-        g_mid = np.asarray(op(z_mid), dtype=float)
-        # y-block of G is -grad_y L, so ascent in y subtracts it
-        y_new = z[nx:] - alpha * g_mid[nx:]
-        zn = np.concatenate([x_new, y_new])
-        used = 2
-    elif kind == AlgoKind.SIM_GD:
-        g = np.asarray(op(z), dtype=float)
-        zn = z - alpha * g
-        used = 1
-    else:
-        raise ContractError(f"{kind} is not a baseline; use run() or eag_step()")
-    state.g_last = g
-    state.z = zn
-    state.k = k + 1
-    state.evals += used
-    return state
-
-
 def run(
     problem: SaddleProblem,
     config: AlgoConfig,
     z0: Point,
     counter: OracleCounter | None = None,
     dense: bool = False,
-    store_ks: set[int] | None = None,
 ) -> Trace:
     """Run an algorithm for config.iters iterations and record a Trace.
 
-    Deterministic given (problem, config, z0). Raises
-    NumericalDivergenceError naming the iteration if an iterate goes
+    Deterministic given (problem, config, z0). Every pass k = 0..iters
+    evaluates G(z^k) once and records it; passes k < iters then update z.
+    Raises NumericalDivergenceError naming the iteration if an iterate goes
     non-finite. For the varying-step method, alpha_k * R < 1 is asserted
     every iteration; anchored methods record alphas and anchor_inner
     (length iters + 1).
@@ -330,97 +250,74 @@ def run(
 
     counter = counter if counter is not None else OracleCounter()
     op = problem.operator
-    if store_ks is not None:
-        store = {k for k in store_ks if 0 <= k < K} | {0}
-    else:
-        store = set(_store_plan(K, dense).tolist())
-    is_eag = kind in (AlgoKind.EAG_C, AlgoKind.EAG_V)
-    two_call = is_eag or kind == AlgoKind.EG
+    plan = store_plan(K, dense)
+    store = set(plan.tolist())
+    varying = kind == AlgoKind.EAG_V
+    anchored = varying or kind == AlgoKind.EAG_C
+    cost, nx = _EVALS_PER_ITER[kind], problem.dim_x
 
     grad_sq = np.empty(K + 1)
     oracle_calls = np.empty(K + 1, dtype=np.int64)
-    stored_ks: list[int] = []
     iterates: list[np.ndarray] = []
-    half_ks: list[int] = []
-    half_iterates: list[np.ndarray] = []
-    alphas = np.empty(K + 1) if is_eag else None
-    anchor_inner = np.empty(K + 1) if is_eag else None
+    alphas = np.empty(K + 1) if anchored else None
+    anchor_inner = np.empty(K + 1) if anchored else None
 
-    z = z0.coords.copy()
     z0c = z0.coords
-    a = config.alpha0
-    delta = config.anchor_delta
-    state = BaselineState(z=z, z0=z0c) if not is_eag else None
+    z = z0c.copy()
+    a, delta = config.alpha0, config.anchor_delta
+    g_prev = None
 
     # divergence is detected per iteration and raised with a diagnostic, so
     # numpy's own overflow warnings are redundant noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
+        for k in range(K + 1):
             if not np.isfinite(z).all():
                 raise NumericalDivergenceError(
                     f"{kind.value} produced a non-finite iterate at iteration {k}"
                 )
             oracle_calls[k] = counter.evals
             if k in store:
-                stored_ks.append(k)
-                iterates.append(z.copy())
-            if is_eag:
+                iterates.append(z)  # every z is a fresh array, never written
+            g = np.asarray(op(z), dtype=float)
+            grad_sq[k] = g.dot(g)
+            if anchored:
                 alphas[k] = a
-                if kind == AlgoKind.EAG_V and not a * R < 1:
+                d = z - z0c
+                anchor_inner[k] = g.dot(d)
+            if k == K:
+                break
+            if anchored:
+                if varying and not a * R < 1:
                     raise NumericalDivergenceError(
                         f"alpha_{k} * R = {a * R} >= 1; varying-step hypothesis broken"
                     )
-                g = np.asarray(op(z), dtype=float)
-                grad_sq[k] = g.dot(g)
-                d = z - z0c
-                anchor_inner[k] = g.dot(d)
-                beta = 1.0 / (k + delta)
-                base = z - beta * d
-                zh = base - a * g
-                zn = base - a * np.asarray(op(zh), dtype=float)
-                counter.count(2)
-                if k in store:
-                    half_ks.append(k)
-                    half_iterates.append(zh)
-                if kind == AlgoKind.EAG_V:
-                    a = (
-                        eag_v_alpha_next(a, k, R)
-                        if delta == 2.0
-                        else _alpha_next_general(a, k, R, delta)
-                    )
-                z = zn
-            else:
-                state = baseline_step(kind, problem, state, config)
-                g = state.g_last
-                grad_sq[k] = g.dot(g)
-                counter.count(_EVALS_PER_ITER[kind])
-                if two_call and k in store:
-                    half_ks.append(k)
-                    half_iterates.append(z - config.alpha0 * g)
-                z = state.z
-
-    if not np.isfinite(z).all():
-        raise NumericalDivergenceError(
-            f"{kind.value} produced a non-finite iterate at iteration {K}"
-        )
-    oracle_calls[K] = counter.evals
-    if alphas is not None:
-        alphas[K] = a
-    stored_ks.append(K)
-    iterates.append(z.copy())
-    g = np.asarray(op(z), dtype=float)  # recording only, not an algorithm call
-    grad_sq[K] = g.dot(g)
-    if anchor_inner is not None:
-        anchor_inner[K] = g.dot(z - z0c)
+                z = _extragradient(op, z - (1.0 / (k + delta)) * d, g, a)[1]
+                if varying:
+                    a = eag_v_alpha_next(a, k, R, delta)
+            elif kind == AlgoKind.EG:
+                z = _extragradient(op, z, g, a)[1]
+            elif kind == AlgoKind.POPOV:
+                # G(z^{-1}) := G(z^0), so the first step is a plain gradient step
+                z = z - a * g - a * (g - (g if g_prev is None else g_prev))
+                g_prev = g
+            elif kind == AlgoKind.SIMGD_A:
+                p, gamma = config.simgd_p, config.simgd_gamma
+                z = z - (1 - p) / (k + 1) ** p * g + (1 - p) * gamma / (k + 1) * (z0c - z)
+            elif kind == AlgoKind.ALT_GDA:
+                x_new = z[:nx] - a * g[:nx]
+                g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
+                # y-block of G is -grad_y L, so ascent in y subtracts it
+                z = np.concatenate([x_new, z[nx:] - a * g_mid[nx:]])
+            else:  # SIM_GD
+                z = z - a * g
+            counter.count(cost)
 
     return Trace(
         kind=kind,
         problem_name=problem.name,
         z0=z0c.copy(),
-        stored_ks=np.asarray(stored_ks),
+        stored_ks=plan,
         iterates=iterates,
-        half_ks=np.asarray(half_ks),
-        half_iterates=half_iterates,
         grad_sq=grad_sq,
         oracle_calls=oracle_calls,
         alphas=alphas,

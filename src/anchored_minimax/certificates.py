@@ -16,6 +16,7 @@ verify raises or reports, it is never silently accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +88,11 @@ class LyapunovCoefficients:
         alpha0: float, R: float, K: int, delta: float = 2.0
     ) -> "LyapunovCoefficients":
         """Generate alphas from the anchored recurrence, then the coefficients."""
-        from .algorithms import _alpha_next_general
-
         alphas = np.empty(K + 1)
         a = alpha0
         for k in range(K + 1):
             alphas[k] = a
-            a = (
-                eag_v_alpha_next(a, k, R)
-                if delta == 2.0
-                else _alpha_next_general(a, k, R, delta)
-            )
+            a = eag_v_alpha_next(a, k, R, delta)
         return LyapunovCoefficients.from_alphas(alphas, delta)
 
 
@@ -286,6 +281,7 @@ class EagCCertificate:
     S: np.ndarray
     min_eig: float
     det: float
+    scale: float  # max |S_ij|; the PSD tolerance is relative to it
     case_tag: str
     ell: float
     upper: float
@@ -307,13 +303,21 @@ def eag_c_certificate(
     normalized to 1, so alphaR is the only scale.
 
     Raises CertificateError if A_k ever leaves its interval, which would
-    contradict the induction the rate proof rests on.
+    contradict the induction the rate proof rests on, and ContractError if
+    some k < K has an interval no wider than twice the membership slack,
+    where the membership test could not fail.
     """
     a = alphaR
     if not check_eag_c_stepsize(a):
         raise ContractError(f"alphaR = {a} fails the step-size conditions")
     if K < 1:
         raise ContractError("K must be >= 1")
+    k_vac = _first_vacuous_k(a)
+    if k_vac < K:
+        raise ContractError(
+            f"alphaR = {a}: at k={k_vac} the interval [ell_k, u_k] is no wider than "
+            "twice its membership slack, so the interval check would be vacuous"
+        )
     # the A_k recursion is sequential; the 3x3 checks run a block at a time
     certs: list[EagCCertificate] = []
     A = a / (1 + a)
@@ -340,12 +344,26 @@ def eag_c_certificate(
     return certs
 
 
+def _first_vacuous_k(a: float) -> int:
+    """First k where u_k - ell_k = a^2 (k+2)/(1-a^2) <= 2e-12 max(1, mid_k).
+
+    While mid_k <= 1 the slack is fixed and the width grows, so only k = 0 can
+    fail there. Past that, width / (2 slack) = a / (1e-12 (1-a^2) (k+1)); for
+    an a that passes k = 0 (a > 1e-6) it reaches 1 beyond k = 1e6, where
+    mid_k > 1 indeed.
+    """
+    if not 2 * a * a / (1 - a * a) > 2e-12 * max(1.0, a):
+        return 0
+    return math.ceil(a / (1e-12 * (1 - a * a))) - 1
+
+
 def _check_block(
     S: np.ndarray, lo: int, steps: list[tuple], tol_psd: float
 ) -> list[EagCCertificate]:
     """Certificates for k = lo.. from the block's stacked S, one eigvalsh and det call."""
     min_eig = np.linalg.eigvalsh(S)[:, 0]
-    verdict = min_eig >= -tol_psd * np.abs(S).max(axis=(1, 2))
+    scale = np.abs(S).max(axis=(1, 2))
+    verdict = min_eig >= -tol_psd * scale
     return [
         EagCCertificate(
             k=k,
@@ -354,17 +372,19 @@ def _check_block(
             S=S[k - lo],
             min_eig=m,
             det=d,
+            scale=sc,
             case_tag=case,
             ell=ell,
             upper=upper,
             interval_ok=True,  # an A_k outside its interval raised in the loop
             verdict=v,
         )
-        for k, (A_k, tau_k, case, ell, upper), m, d, v in zip(
+        for k, (A_k, tau_k, case, ell, upper), m, d, sc, v in zip(
             range(lo, lo + len(S)),
             steps,
             min_eig.tolist(),
             np.linalg.det(S).tolist(),
+            scale.tolist(),
             verdict.tolist(),
         )
     ]

@@ -44,7 +44,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-LOG_THIN_THRESHOLD = 10_000
 # stored iterates stacked per block of the distance column; bounds its copy
 DIST_BLOCK = 512
 
@@ -65,23 +64,10 @@ def _emit_csv(path: str | None, header: list[str], rows) -> None:
             out.close()
 
 
-def _emission_ks(iters: int, dense: bool) -> list[int]:
-    if dense or iters <= LOG_THIN_THRESHOLD:
-        return list(range(iters + 1))
-    ks = set(range(min(1001, iters + 1)))
-    v = 1.0
-    while v <= iters:
-        ks.add(int(round(v)))
-        v *= 1.1
-    ks.add(iters)
-    return sorted(k for k in ks if k <= iters)
-
-
-def _dist_to_saddle_sq(trace, ks: list[int], zs: np.ndarray):
-    """Yield ||z^k - z*||^2 for each k in ``ks``, computed a block at a time."""
-    idx = np.searchsorted(trace.stored_ks, ks)
-    for lo in range(0, len(ks), DIST_BLOCK):
-        Z = np.stack([trace.iterates[i] for i in idx[lo:lo + DIST_BLOCK]])
+def _dist_to_saddle_sq(trace, zs: np.ndarray):
+    """Yield ||z^k - z*||^2 for each stored k, computed a block at a time."""
+    for lo in range(0, len(trace.iterates), DIST_BLOCK):
+        Z = np.stack(trace.iterates[lo:lo + DIST_BLOCK])
         yield from np.sum((Z - zs) ** 2, axis=1).tolist()
 
 
@@ -129,9 +115,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    ks = _emission_ks(args.iters, args.dense)
     try:
-        trace = run(problem, config, z0, store_ks=set(ks))
+        trace = run(problem, config, z0, dense=args.dense)
     except NumericalDivergenceError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -163,10 +148,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if zs is not None:
         header.append("dist_to_saddle_sq")
 
-    dists = _dist_to_saddle_sq(trace, ks, zs) if zs is not None else None
+    dists = _dist_to_saddle_sq(trace, zs) if zs is not None else None
 
     def rows():
-        for k in ks:
+        for k in trace.stored_ks.tolist():
             row = [str(k), _fmt(trace.grad_sq[k])]
             if with_bound:
                 row.append(
@@ -206,7 +191,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             print(f"certificate failure: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         ok = all(c.verdict for c in certs)
-        worst_eig = min(c.min_eig / max(abs(c.S).max(), 1e-300) for c in certs)
+        worst_eig = min(c.min_eig / max(c.scale, 1e-300) for c in certs)
         print(
             f"eagc alphaR={_fmt(args.alphaR)} k<={args.k}: "
             f"{'PASS' if ok else 'FAIL'} worst_rel_min_eig={worst_eig:.3e}"

@@ -1,26 +1,126 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchored_minimax import (
     AlgoConfig,
     AlgoKind,
-    BaselineState,
     ContractError,
     NumericalDivergenceError,
     OracleCounter,
     Point,
-    baseline_step,
     eag_step,
     eag_v_alpha_limit,
     eag_v_alpha_next,
-    eg_step,
     grad_sq_norm,
     load_preset,
     make_bilinear,
     run,
+    store_plan,
     theoretical_bound,
 )
-from anchored_minimax.algorithms import _alpha_next_general
+
+
+def alpha_next_delta2(alpha_k, k, R):
+    """The delta = 2 recurrence in its former form, denominator (k+1)(k+3) in ints."""
+    a = alpha_k * R
+    return alpha_k * (1.0 - (a * a / (1.0 - a * a)) / ((k + 1) * (k + 3)))
+
+
+def alpha_next_general(alpha_k, k, R, delta):
+    """The anchored recurrence for beta_k = 1/(k+delta) in its published form."""
+    aR = alpha_k * R
+    if not 0 < aR < 1:
+        raise ContractError(f"alpha_k * R = {aR} outside (0, 1)")
+    a2 = aR**2
+    bk = 1.0 / (k + delta)
+    bk1 = 1.0 / (k + 1 + delta)
+    return alpha_k * bk1 * (1.0 - a2 - bk * bk) / (bk * (1.0 - bk) * (1.0 - a2))
+
+
+def run_reference(problem, config, z0):
+    """A dense run with one branch per method, each step written out in full.
+
+    Anchored methods evaluate G at z^k and at the half-iterate; baselines go
+    through their own step; the final iterate's G is evaluated for recording.
+    Returns (grad_sq, oracle_calls, alphas, anchor_inner, iterates).
+    """
+    kind, K, R = config.kind, config.iters, problem.lipschitz
+    op, nx = problem.operator, problem.dim_x
+    is_eag = kind in (AlgoKind.EAG_C, AlgoKind.EAG_V)
+    grad_sq = np.empty(K + 1)
+    oracle_calls = np.empty(K + 1, dtype=np.int64)
+    alphas = np.empty(K + 1) if is_eag else None
+    anchor_inner = np.empty(K + 1) if is_eag else None
+    iterates = []
+    z0c = z0.coords
+    z = z0c.copy()
+    a, alpha, delta = config.alpha0, config.alpha0, config.anchor_delta
+    evals, g_prev = 0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            if not np.isfinite(z).all():
+                raise NumericalDivergenceError(
+                    f"{kind.value} produced a non-finite iterate at iteration {k}"
+                )
+            oracle_calls[k] = evals
+            iterates.append(z.copy())
+            g = np.asarray(op(z), dtype=float)
+            grad_sq[k] = g.dot(g)
+            if is_eag:
+                alphas[k] = a
+                d = z - z0c
+                anchor_inner[k] = g.dot(d)
+                beta = 1.0 / (k + delta)
+                base = z - beta * d
+                zh = base - a * g
+                zn = base - a * np.asarray(op(zh), dtype=float)
+                if kind == AlgoKind.EAG_V:
+                    a = (
+                        alpha_next_delta2(a, k, R)
+                        if delta == 2.0
+                        else alpha_next_general(a, k, R, delta)
+                    )
+            elif kind == AlgoKind.EG:
+                zh = z - alpha * g
+                zn = z - alpha * np.asarray(op(zh), dtype=float)
+            elif kind == AlgoKind.POPOV:
+                gp = g_prev if g_prev is not None else g
+                zn = z - alpha * g - alpha * (g - gp)
+                g_prev = g
+            elif kind == AlgoKind.SIMGD_A:
+                p, gamma = config.simgd_p, config.simgd_gamma
+                zn = z - (1 - p) / (k + 1) ** p * g + (1 - p) * gamma / (k + 1) * (z0c - z)
+            elif kind == AlgoKind.ALT_GDA:
+                x_new = z[:nx] - alpha * g[:nx]
+                g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
+                zn = np.concatenate([x_new, z[nx:] - alpha * g_mid[nx:]])
+            else:
+                zn = z - alpha * g
+            evals += {AlgoKind.POPOV: 1, AlgoKind.SIMGD_A: 1, AlgoKind.SIM_GD: 1}.get(
+                kind, 2
+            )
+            z = zn
+    if not np.isfinite(z).all():
+        raise NumericalDivergenceError(
+            f"{kind.value} produced a non-finite iterate at iteration {K}"
+        )
+    oracle_calls[K] = evals
+    iterates.append(z.copy())
+    g = np.asarray(op(z), dtype=float)
+    grad_sq[K] = g.dot(g)
+    if is_eag:
+        alphas[K] = a
+        anchor_inner[K] = g.dot(z - z0c)
+    return grad_sq, oracle_calls, alphas, anchor_inner, iterates
+
+
+def bilinear_iterates(kind, z, alpha=0.1, iters=1):
+    """The iterates z^0..z^iters of a dense run on L(x, y) = xy from ``z``."""
+    p = make_bilinear(1.0)
+    trace = run(p, AlgoConfig(kind, alpha, iters), p.point(z), dense=True)
+    return trace.iterates
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +131,25 @@ def bilinear():
 class TestEagStep:
     def test_beta_zero_is_extragradient_bitwise(self, bilinear):
         z = bilinear.point([0.7, -0.3])
-        zh_eag, zn_eag = eag_step(bilinear, z, z, k=0, alpha_k=0.2, beta_k=0.0)
-        zh_eg, zn_eg = eg_step(bilinear, z, alpha=0.2)
-        assert np.array_equal(zh_eag.coords, zh_eg.coords)
-        assert np.array_equal(zn_eag.coords, zn_eg.coords)
+        _, zn_eag = eag_step(bilinear, z, z, k=0, alpha_k=0.2, beta_k=0.0)
+        eg = run(bilinear, AlgoConfig(AlgoKind.EG, 0.2, 1), z)
+        assert zn_eag.coords.tobytes() == eg.iterate(1).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        alphaR=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                         allow_subnormal=False),
+    )
+    def test_beta_zero_is_extragradient_property(self, n, seed, alphaR):
+        # with beta_k = 0 the anchor, here an unrelated point, has no effect
+        p, z0 = load_preset(f"random-monotone:{n}:{seed}")
+        alpha = alphaR / p.lipschitz
+        anchor = Point(np.random.default_rng(seed).normal(size=2 * n), n)
+        _, zn = eag_step(p, z0, anchor, k=0, alpha_k=alpha, beta_k=0.0)
+        eg = run(p, AlgoConfig(AlgoKind.EG, alpha, 1), z0)
+        assert zn.coords.tobytes() == eg.iterate(1).tobytes()
 
     def test_hand_computed_step(self, bilinear):
         z0 = bilinear.point([1.0, 0.0])
@@ -92,16 +207,42 @@ class TestAlphaRecurrence:
         for _ in range(200):
             a = rng.uniform(0.01, 0.7)
             k = int(rng.integers(0, 1000))
-            assert _alpha_next_general(a, k, 1.0, 2.0) == pytest.approx(
+            assert alpha_next_general(a, k, 1.0, 2.0) == pytest.approx(
                 eag_v_alpha_next(a, k, 1.0), rel=1e-13
             )
 
     def test_general_delta_tiny_step_does_not_underflow(self):
         # (alpha R)^2 underflows to 0 although alpha R is inside (0, 1); with
         # a zero square the recurrence leaves alpha unchanged
-        assert _alpha_next_general(1e-300, 0, 1.0, 2.697) == pytest.approx(1e-300)
+        assert eag_v_alpha_next(1e-300, 0, 1.0, 2.697) == pytest.approx(1e-300)
         with pytest.raises(ContractError):
-            _alpha_next_general(0.0, 0, 1.0, 2.697)
+            eag_v_alpha_next(0.0, 0, 1.0, 2.697)
+
+    @pytest.mark.parametrize("a0R", [0.01, 0.05, 0.3, 0.5, 0.618, 0.74])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+    def test_delta_two_bitwise_as_before(self, a0R, R):
+        a = ref = a0R / R
+        for k in range(20_000):
+            a = eag_v_alpha_next(a, k, R)
+            ref = alpha_next_delta2(ref, k, R)
+            assert a.hex() == ref.hex(), k
+
+    @pytest.mark.parametrize("delta", [1.5, 2.5, 2.697, 3.0, 10.0])
+    def test_general_delta_matches_published_form(self, delta):
+        # one step from the same alpha_k: a few ulp apart
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            a, k = rng.uniform(1e-3, 0.74), int(rng.integers(0, 10**6))
+            assert eag_v_alpha_next(a, k, 1.0, delta) == pytest.approx(
+                alpha_next_general(a, k, 1.0, delta), rel=2e-15, abs=0
+            )
+        # whole sequences drift apart by rounding only, as long as a run
+        for a0R in (0.05, 0.3, 0.618, 0.74):
+            a = ref = a0R
+            for k in range(1500):
+                a = eag_v_alpha_next(a, k, 1.0, delta)
+                ref = alpha_next_general(ref, k, 1.0, delta)
+                assert a == pytest.approx(ref, rel=1.5e-14, abs=0), (a0R, k)
 
     def test_limit_from_golden_start(self):
         lim = eag_v_alpha_limit(0.618, 1.0)
@@ -129,36 +270,79 @@ class TestAlphaRecurrence:
 
 
 class TestBaselineSteps:
-    def test_simgd_a_coefficients_at_zero(self, bilinear):
-        config = AlgoConfig(kind=AlgoKind.SIMGD_A, alpha0=1.0, iters=1)
-        z = np.array([1.0, 0.0])
-        st = BaselineState(z=z.copy(), z0=np.zeros(2))
-        st = baseline_step(AlgoKind.SIMGD_A, bilinear, st, config)
-        # coefficient (1-p) = 0.49 on the gradient, (1-p)*gamma = 0.49 on the anchor
-        g = np.array([0.0, -1.0])
-        expected = z - 0.49 * g + 0.49 * (np.zeros(2) - z)
-        assert np.allclose(st.z, expected, rtol=0, atol=1e-15)
+    def test_simgd_a_coefficients_at_zero(self):
+        # coefficient (1-p)/(k+1)^p on the gradient, (1-p)*gamma/(k+1) on the
+        # anchor; the anchor term vanishes at k = 0, where z^0 is the anchor
+        z0 = np.array([1.0, 0.0])
+        _, z1, z2 = bilinear_iterates(AlgoKind.SIMGD_A, z0, alpha=1.0, iters=2)
+        g0 = np.array([0.0, -1.0])
+        assert np.allclose(z1, z0 - 0.49 * g0, rtol=0, atol=1e-15)
+        g1 = np.array([z1[1], -z1[0]])
+        expected = z1 - 0.49 / 2**0.51 * g1 + 0.245 * (z0 - z1)
+        assert np.allclose(z2, expected, rtol=0, atol=1e-15)
 
-    def test_eg_hand_example(self, bilinear):
-        config = AlgoConfig(kind=AlgoKind.EG, alpha0=0.1, iters=1)
-        st = BaselineState(z=np.array([1.0, 0.0]), z0=np.array([1.0, 0.0]))
-        st = baseline_step(AlgoKind.EG, bilinear, st, config)
-        assert np.allclose(st.z, [0.99, 0.1], rtol=0, atol=1e-15)
+    def test_eg_hand_example(self):
+        _, z1 = bilinear_iterates(AlgoKind.EG, [1.0, 0.0])
+        assert np.allclose(z1, [0.99, 0.1], rtol=0, atol=1e-15)
 
-    def test_alternating_gda_hand_example(self, bilinear):
-        config = AlgoConfig(kind=AlgoKind.ALT_GDA, alpha0=0.1, iters=1)
-        st = BaselineState(z=np.array([1.0, 1.0]), z0=np.array([1.0, 1.0]))
-        st = baseline_step(AlgoKind.ALT_GDA, bilinear, st, config)
-        assert st.z[0] == pytest.approx(0.9)
-        assert st.z[1] == pytest.approx(1.09)
+    def test_alternating_gda_hand_example(self):
+        _, z1 = bilinear_iterates(AlgoKind.ALT_GDA, [1.0, 1.0])
+        assert z1[0] == pytest.approx(0.9)
+        assert z1[1] == pytest.approx(1.09)
 
-    def test_popov_warm_start_is_gradient_step(self, bilinear):
-        config = AlgoConfig(kind=AlgoKind.POPOV, alpha0=0.1, iters=1)
+    def test_popov_warm_start_is_gradient_step(self):
         z = np.array([1.0, 0.5])
-        st = BaselineState(z=z.copy(), z0=z.copy())
-        st = baseline_step(AlgoKind.POPOV, bilinear, st, config)
+        _, z1 = bilinear_iterates(AlgoKind.POPOV, z)
         g = np.array([0.5, -1.0])
-        assert np.allclose(st.z, z - 0.1 * g, rtol=0, atol=1e-15)
+        assert np.allclose(z1, z - 0.1 * g, rtol=0, atol=1e-15)
+
+
+REFERENCE_PROBLEMS = ["bilinear-unit", "huber-default", "ouyang-200", "random-monotone:6:5"]
+
+
+class TestRunMatchesReference:
+    @pytest.mark.parametrize("name", REFERENCE_PROBLEMS)
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    def test_bitwise_at_delta_two(self, kind, name):
+        p, z0 = load_preset(name)
+        config = AlgoConfig(kind, 0.1 / p.lipschitz, 1500)
+        try:
+            want = run_reference(p, config, z0)
+        except NumericalDivergenceError as exc:
+            with pytest.raises(NumericalDivergenceError, match=str(exc)):
+                run(p, config, z0, dense=True)
+            return
+        trace = run(p, config, z0, dense=True)
+        got = (trace.grad_sq, trace.oracle_calls, trace.alphas, trace.anchor_inner)
+        for x, y in zip(got, want[:4]):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert trace.stored_ks.tolist() == list(range(1501))
+        assert len(trace.iterates) == len(want[4]) == 1501
+        for k, (x, y) in enumerate(zip(trace.iterates, want[4])):
+            assert x.tobytes() == y.tobytes(), k
+
+    @pytest.mark.parametrize("name", REFERENCE_PROBLEMS)
+    @pytest.mark.parametrize("alpha0R", [0.1, 0.618])
+    def test_eag_v_close_at_other_delta(self, name, alpha0R):
+        # the step sizes differ by rounding only; everything else is compared
+        # on the problem's own scale D = ||z0 - z*||, since ||G(z^k)||^2 can
+        # fall to 1e-8 of (R D)^2 on huber-default, where a 1e-15 relative
+        # move of z^k reads as 1e-11 relative in grad_sq
+        p, z0 = load_preset(name)
+        R, D = p.lipschitz, float(np.linalg.norm(z0.coords - p.saddle_point.coords))
+        config = AlgoConfig(AlgoKind.EAG_V, alpha0R / R, 1500, anchor_delta=2.697)
+        grad_sq, calls, alphas, inner, iterates = run_reference(p, config, z0)
+        trace = run(p, config, z0, dense=True)
+        assert trace.oracle_calls.tobytes() == calls.tobytes()
+        np.testing.assert_allclose(trace.alphas, alphas, rtol=1.5e-14, atol=0)
+        for x, y in zip(trace.iterates, iterates):
+            assert np.linalg.norm(x - y) <= 1e-13 * D
+        np.testing.assert_allclose(
+            np.sqrt(trace.grad_sq), np.sqrt(grad_sq), rtol=0, atol=1e-13 * R * D
+        )
+        np.testing.assert_allclose(trace.anchor_inner, inner, rtol=0, atol=1e-13 * R * D * D)
 
 
 class TestRun:
@@ -209,7 +393,7 @@ class TestRun:
     def test_anchor_inner_matches_recomputation(self, kind):
         # the recorded <G(z^k), z^k - z0> equals a fresh evaluation bit for bit
         problem, z0 = load_preset("ouyang-200")
-        trace = run(problem, AlgoConfig(kind, 0.1, 300), z0, store_ks={0, 7, 299})
+        trace = run(problem, AlgoConfig(kind, 0.1, 300), z0, dense=True)
         assert len(trace.anchor_inner) == 301
         for idx, k in enumerate(trace.stored_ks.tolist()):
             z = trace.iterates[idx]
@@ -246,25 +430,34 @@ class TestRun:
             )
         assert trace.iters == 10
 
-    def test_half_iterates_recorded_for_two_call_methods(self, bilinear):
-        z0 = bilinear.point([1.0, 0.0])
-        trace = run(bilinear, AlgoConfig(AlgoKind.EG, 0.1, 5), z0)
-        assert len(trace.half_iterates) == 5
-        # z^{0+1/2} = z0 - alpha G(z0)
-        assert np.allclose(trace.half_iterates[0], [1.0, 0.1], atol=1e-15)
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    def test_no_half_iterates_stored(self, bilinear, kind):
+        trace = run(bilinear, AlgoConfig(kind, 0.1, 5), bilinear.point([1.0, 0.0]))
+        assert len(trace.half_ks) == 0 and trace.half_iterates == []
 
     def test_thinning_beyond_dense_limit(self, bilinear):
         z0 = bilinear.point([1.0, 0.0])
         trace = run(bilinear, AlgoConfig(AlgoKind.SIM_GD, 0.01, 12_000), z0)
         ks = trace.stored_ks
         assert len(trace.grad_sq) == 12_001  # scalar series stays dense
-        assert len(ks) < 12_001
+        assert ks.tolist() == store_plan(12_000, dense=False).tolist()
+        assert len(trace.iterates) == len(ks) == 1001 + 26 + 1
+        assert ks[:1001].tolist() == list(range(1001))
         assert ks[-1] == 12_000
-        assert 2**14 not in ks  # beyond range
-        assert 8192 in ks  # power of two retained
-        trace.iterate(8192)
-        with pytest.raises(ContractError):
-            trace.iterate(10_500)
+        assert 1051 in ks and 11_389 in ks  # round(1.1^73), round(1.1^98)
+        assert trace.iterate(1051) is trace.iterates[1001]
+        for k in (1001, 8192, 10_500):
+            with pytest.raises(ContractError):
+                trace.iterate(k)
+
+    def test_store_plan(self):
+        assert store_plan(10_000, dense=False).tolist() == list(range(10_001))
+        assert store_plan(20, dense=True).tolist() == list(range(21))
+        thin = store_plan(10**5, dense=False)
+        assert len(thin) == 1050 and thin[-1] == 10**5
+        grid = {int(round(1.1**j)) for j in range(121)}
+        assert set(thin.tolist()) == set(range(1001)) | grid | {10**5}
+        assert len(store_plan(10**5, dense=True)) == 10**5 + 1
 
     @pytest.mark.parametrize("name", ["bilinear-unit", "random-monotone:8:0"])
     def test_rate_envelope_on_remaining_presets(self, name):

@@ -72,11 +72,26 @@ def eag_c_reference(alphaR, K, tol_psd=1e-9):
         det = float(np.linalg.det(S))
         verdict = bool(eigs[0] >= -tol_psd * scale and interval_ok)
         certs.append(EagCCertificate(
-            k, A, tau, S, float(eigs[0]), det, case, chain.ell, chain.upper,
+            k, A, tau, S, float(eigs[0]), det, scale, case, chain.ell, chain.upper,
             interval_ok, verdict,
         ))
         A = A_next
     return certs
+
+
+def assert_same_certificates(got, want):
+    """Every field equal: floats by hex, S by bytes, the rest by ==."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(EagCCertificate):
+            x, y = getattr(g, f.name), getattr(w, f.name)
+            assert type(x) is type(y), (g.k, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), g.k
+            elif isinstance(x, float):
+                assert x.hex() == y.hex(), (g.k, f.name)
+            else:
+                assert x == y, (g.k, f.name)
 
 
 def indefinite_at(j, monkeypatch):
@@ -377,19 +392,7 @@ class TestEagCCertificate:
          (0.125, 1), (0.125, EAGC_BLOCK), (0.125, EAGC_BLOCK + 1)],
     )
     def test_matches_per_step_reference_bitwise(self, alphaR, K):
-        got = eag_c_certificate(alphaR, K)
-        want = eag_c_reference(alphaR, K)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            for f in dataclasses.fields(EagCCertificate):
-                x, y = getattr(g, f.name), getattr(w, f.name)
-                assert type(x) is type(y), (g.k, f.name)
-                if isinstance(x, np.ndarray):
-                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), g.k
-                elif isinstance(x, float):
-                    assert x.hex() == y.hex(), (g.k, f.name)
-                else:
-                    assert x == y, (g.k, f.name)
+        assert_same_certificates(eag_c_certificate(alphaR, K), eag_c_reference(alphaR, K))
 
     @pytest.mark.parametrize("j", [0, 37, EAGC_BLOCK - 1, EAGC_BLOCK, 2099])
     def test_indefinite_slack_matrix_fails_exactly_there(self, j, monkeypatch):
@@ -409,6 +412,23 @@ class TestEagCCertificate:
     def test_rejects_invalid_stepsize(self):
         with pytest.raises(ContractError):
             eag_c_certificate(0.2, 10)
+
+    def test_rejects_vacuous_interval_check(self):
+        # u_k - ell_k = alphaR^2 (k+2)/(1 - alphaR^2) is 2e-16 at alphaR = 1e-8,
+        # below the 1e-12 membership slack: no A_k could fail the test
+        with pytest.raises(ContractError, match=r"alphaR = 1e-08: at k=0 "):
+            eag_c_certificate(1e-8, 200)
+        # at alphaR = 1e-5 the width outgrows the slack, which then overtakes
+        # it at k = 1e7; the check runs before any step does
+        with pytest.raises(ContractError, match=r"alphaR = 1e-05: at k=10000000 "):
+            eag_c_certificate(1e-5, 10**7 + 1)
+        assert all(c.verdict for c in eag_c_certificate(1e-5, 1000))
+
+    @pytest.mark.parametrize("alphaR", [0.05, 0.125])
+    def test_large_K_unchanged_by_vacuity_check(self, alphaR):
+        assert_same_certificates(
+            eag_c_certificate(alphaR, 50_000), eag_c_reference(alphaR, 50_000)
+        )
 
     def test_soundness_certificate_implies_empirical_bound(self):
         # whenever the certificate passes for (alpha, K), the actual run obeys

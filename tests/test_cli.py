@@ -201,8 +201,8 @@ class TestRunCommand:
                 return problem, Point(np.array([1.0, 0.0]), 1)
             return load_preset(name)
 
-        def per_row(trace, ks, zs):
-            for k in ks:
+        def per_row(trace, zs):
+            for k in trace.stored_ks.tolist():
                 yield float(np.sum((trace.iterate(k) - zs) ** 2))
 
         monkeypatch.setattr(cli, "load_preset", with_unknown_saddle)
