@@ -35,7 +35,6 @@ from .algorithms import (
 from .certificates import (
     EagCCertificate,
     IntervalChain,
-    LyapunovCoefficients,
     LyapunovReport,
     check_eag_c_stepsize,
     check_lyapunov_monotone,

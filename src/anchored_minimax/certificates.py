@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Trace, eag_v_alpha_next
+from .algorithms import Trace
 from .core import CertificateError, ContractError, SaddleProblem
 
 __all__ = [
     "check_eag_c_stepsize",
-    "LyapunovCoefficients",
     "lyapunov_sequence",
     "LyapunovReport",
     "check_lyapunov_monotone",
@@ -49,51 +48,6 @@ def check_eag_c_stepsize(alphaR: float) -> bool:
     if not a > 0:
         raise ContractError("alphaR must be > 0")
     return (1 - 3 * a - a**2 - a**3 >= 0) and (1 - 8 * a + a**2 - 2 * a**3 >= 0)
-
-
-@dataclass(frozen=True)
-class LyapunovCoefficients:
-    """Coefficient sequences A_k, B_k for the anchored Lyapunov function."""
-
-    A: np.ndarray
-    B: np.ndarray
-    alphas: np.ndarray
-    betas: np.ndarray
-    delta: float
-
-    @staticmethod
-    def from_alphas(alphas: np.ndarray, delta: float = 2.0) -> "LyapunovCoefficients":
-        """Build A_k, B_k from recorded step sizes and beta_k = 1/(k+delta).
-
-        B_0 = 1, B_{k+1} = B_k (k+delta)/(k+delta-1), A_k = alpha_k B_k/(2 beta_k).
-        With delta = 2 this gives B_k = k+1 and A_k = alpha_k (k+1)(k+2)/2
-        exactly (the multiply-then-divide order keeps integer-valued floats
-        exact).
-        """
-        K = len(alphas)
-        A = np.empty(K)
-        B = np.empty(K)
-        betas = np.empty(K)
-        b = 1.0
-        for k in range(K):
-            beta = 1.0 / (k + delta)
-            betas[k] = beta
-            B[k] = b
-            A[k] = alphas[k] * b / (2 * beta)
-            b = (b * (k + delta)) / (k + delta - 1)
-        return LyapunovCoefficients(A, B, np.asarray(alphas, dtype=float), betas, delta)
-
-    @staticmethod
-    def from_recurrence(
-        alpha0: float, R: float, K: int, delta: float = 2.0
-    ) -> "LyapunovCoefficients":
-        """Generate alphas from the anchored recurrence, then the coefficients."""
-        alphas = np.empty(K + 1)
-        a = alpha0
-        for k in range(K + 1):
-            alphas[k] = a
-            a = eag_v_alpha_next(a, k, R, delta)
-        return LyapunovCoefficients.from_alphas(alphas, delta)
 
 
 def lyapunov_sequence(trace: Trace, problem: SaddleProblem) -> np.ndarray:

@@ -8,9 +8,9 @@ significant digits; identical command lines produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -44,21 +44,34 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# stored iterates stacked per block of the distance column; bounds its copy
-DIST_BLOCK = 512
+# rows formatted and written per block; bounds the block's copies (stacked
+# iterates, strings), so memory does not grow with the number of rows
+EMIT_BLOCK = 512
+
+_fmt = "{:.17g}".format
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt_col(values: np.ndarray):
+    return map(_fmt, values.tolist())
 
 
-def _emit_csv(path: str | None, header: list[str], rows) -> None:
+def _blocks(n: int, block):
+    """block(sl) for consecutive slices of at most EMIT_BLOCK of n rows."""
+    return (block(slice(lo, lo + EMIT_BLOCK)) for lo in range(0, n, EMIT_BLOCK))
+
+
+def _emit_csv(path: str | None, header: list[str], blocks) -> None:
+    """Write a table given as blocks, each a list of equal-length string columns.
+
+    Every block holds at least one row. Every field is a number or an
+    identifier, none of which needs quoting, so a row is its fields joined by
+    commas; each line ends in CRLF.
+    """
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        w = csv.writer(out, lineterminator="\r\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        out.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            out.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
     finally:
         if path:
             out.close()
@@ -66,8 +79,8 @@ def _emit_csv(path: str | None, header: list[str], rows) -> None:
 
 def _dist_to_saddle_sq(trace, zs: np.ndarray):
     """Yield ||z^k - z*||^2 for each stored k, computed a block at a time."""
-    for lo in range(0, len(trace.iterates), DIST_BLOCK):
-        Z = np.stack(trace.iterates[lo:lo + DIST_BLOCK])
+    for lo in range(0, len(trace.iterates), EMIT_BLOCK):
+        Z = np.stack(trace.iterates[lo:lo + EMIT_BLOCK])
         yield from np.sum((Z - zs) ** 2, axis=1).tolist()
 
 
@@ -124,16 +137,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     R = problem.lipschitz
     zs = problem.saddle_point.coords if problem.saddle_point is not None else None
     D = float(np.linalg.norm(z0.coords - zs)) if zs is not None else None
+    # no theorem, no bound column: the anchored rates are proved for
+    # delta = 2, EAG-C's under its step-size conditions, EG's for alpha R < 1
+    anchored_rate = config.anchor_delta == 2.0 and (
+        kind == AlgoKind.EAG_V
+        or kind == AlgoKind.EAG_C and check_eag_c_stepsize(alpha * R)
+    )
     with_bound = (
         args.bound
         and D is not None
-        and kind in (AlgoKind.EAG_C, AlgoKind.EAG_V, AlgoKind.EG)
+        and (anchored_rate or kind == AlgoKind.EG and alpha * R < 1)
     )
-    # no theorem, no bound column
-    if with_bound and kind == AlgoKind.EAG_C and not check_eag_c_stepsize(alpha * R):
-        with_bound = False
-    if with_bound and kind == AlgoKind.EG and not alpha * R < 1:
-        with_bound = False
     ainf = (
         eag_v_alpha_limit(alpha, R) if with_bound and kind == AlgoKind.EAG_V else None
     )
@@ -150,25 +164,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     dists = _dist_to_saddle_sq(trace, zs) if zs is not None else None
 
-    def rows():
-        for k in trace.stored_ks.tolist():
-            row = [str(k), _fmt(trace.grad_sq[k])]
-            if with_bound:
-                row.append(
-                    _fmt(
-                        theoretical_bound(
-                            kind, k, R, D, alpha=alpha, alpha0=alpha, alpha_inf=ainf
-                        )
-                    )
-                )
-            if with_alpha:
-                row.append(_fmt(trace.alphas[k]))
-            row.append(str(int(trace.oracle_calls[k])))
-            if dists is not None:
-                row.append(_fmt(next(dists)))
-            yield row
+    def block(sl: slice) -> list:
+        ks = trace.stored_ks[sl]
+        columns = [map(str, ks.tolist()), _fmt_col(trace.grad_sq[ks])]
+        if with_bound:
+            columns.append(_fmt_col(theoretical_bound(
+                kind, ks, R, D, alpha=alpha, alpha0=alpha, alpha_inf=ainf
+            )))
+        if with_alpha:
+            columns.append(_fmt_col(trace.alphas[ks]))
+        columns.append(map(str, trace.oracle_calls[ks].tolist()))
+        if dists is not None:
+            columns.append(map(_fmt, islice(dists, len(ks))))
+        return columns
 
-    _emit_csv(args.out, header, rows())
+    _emit_csv(args.out, header, _blocks(len(trace.stored_ks), block))
     return EXIT_OK
 
 
@@ -181,13 +191,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         print(f"stepsize alphaR={_fmt(args.alphaR)}: {'PASS' if ok else 'FAIL'}")
         if args.out:
-            _emit_csv(args.out, ["alphaR", "verdict"], [[_fmt(args.alphaR), int(ok)]])
+            _emit_csv(
+                args.out, ["alphaR", "verdict"], [[[_fmt(args.alphaR)], [str(int(ok))]]]
+            )
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if args.kind == "eagc":
         try:
             certs = eag_c_certificate(args.alphaR, args.k)
-        except (ContractError, CertificateError) as exc:
+        except ContractError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except CertificateError as exc:
             print(f"certificate failure: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         ok = all(c.verdict for c in certs)
@@ -197,17 +212,25 @@ def cmd_certify(args: argparse.Namespace) -> int:
             f"{'PASS' if ok else 'FAIL'} worst_rel_min_eig={worst_eig:.3e}"
         )
         if args.out:
+
+            def block(sl: slice) -> list:
+                cs = certs[sl]
+                return [
+                    [str(c.k) for c in cs],
+                    [_fmt(c.A_k) for c in cs],
+                    [_fmt(c.tau_k) for c in cs],
+                    [_fmt(c.min_eig) for c in cs],
+                    [_fmt(c.det) for c in cs],
+                    [c.case_tag for c in cs],
+                    [_fmt(c.ell) for c in cs],
+                    [_fmt(c.upper) for c in cs],
+                    [str(int(c.verdict)) for c in cs],
+                ]
+
             _emit_csv(
                 args.out,
                 ["k", "A_k", "tau_k", "min_eig", "det", "case", "ell", "u", "verdict"],
-                (
-                    [
-                        str(c.k), _fmt(c.A_k), _fmt(c.tau_k), _fmt(c.min_eig),
-                        _fmt(c.det), c.case_tag, _fmt(c.ell), _fmt(c.upper),
-                        int(c.verdict),
-                    ]
-                    for c in certs
-                ),
+                _blocks(len(certs), block),
             )
         if not ok:
             first = next(c for c in certs if not c.verdict)
@@ -250,7 +273,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
         _emit_csv(
             args.out,
             ["k", "V_k"],
-            ([str(k), _fmt(v)] for k, v in zip(trace.stored_ks.tolist(), V)),
+            _blocks(len(V), lambda sl: [
+                map(str, trace.stored_ks[sl].tolist()), _fmt_col(V[sl])
+            ]),
         )
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -277,11 +302,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     print(f"chebyshev   {_fmt(cheb)}")
     print(f"sandwich rel err {rel:.3e}: {'PASS' if ok else 'FAIL'}")
 
-    rows = [
-        ["closed_form", _fmt(target)],
-        ["krylov", _fmt(kry)],
-        ["chebyshev", _fmt(cheb)],
-    ]
+    names, values = ["closed_form", "krylov", "chebyshev"], [target, kry, cheb]
     algo_ok = True
     if args.algo is not None:
         try:
@@ -305,11 +326,10 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
             f"({len(report.steps)} span-counted steps, floor {_fmt(report.floor)})"
         )
         for s in report.steps:
-            rows.append(
-                [f"{kind.value}_k{s.k_iter}", _fmt(s.grad_sq)]
-            )
+            names.append(f"{kind.value}_k{s.k_iter}")
+            values.append(s.grad_sq)
     if args.out:
-        _emit_csv(args.out, ["quantity", "value"], rows)
+        _emit_csv(args.out, ["quantity", "value"], [[names, map(_fmt, values)]])
     return EXIT_OK if ok and algo_ok else EXIT_CHECK_FAILED
 
 
@@ -349,22 +369,21 @@ def cmd_flow(args: argparse.Namespace) -> int:
         disc = run(problem, config, z0p, dense=True)
         header += ["x_disc", "y_disc"]
 
-    def rows():
-        for i, t in enumerate(traj.ts):
-            dev = float(np.linalg.norm(traj.zs[i] - closed[i]))
-            row = [
-                _fmt(t),
-                _fmt(closed[i, 0]), _fmt(closed[i, 1]),
-                _fmt(traj.zs[i, 0]), _fmt(traj.zs[i, 1]),
-                _fmt(dev),
-            ]
-            if disc is not None:
-                # index-aligned with the time grid, not time-aligned
-                z = disc.iterate(i)
-                row += [_fmt(z[0]), _fmt(z[1])]
-            yield row
+    def block(sl: slice) -> list:
+        zs, cl = traj.zs[sl], closed[sl]
+        columns = [
+            _fmt_col(traj.ts[sl]),
+            _fmt_col(cl[:, 0]), _fmt_col(cl[:, 1]),
+            _fmt_col(zs[:, 0]), _fmt_col(zs[:, 1]),
+            (_fmt(np.linalg.norm(d)) for d in zs - cl),
+        ]
+        if disc is not None:
+            # index-aligned with the time grid, not time-aligned
+            Z = np.stack(disc.iterates[sl])
+            columns += [_fmt_col(Z[:, 0]), _fmt_col(Z[:, 1])]
+        return columns
 
-    _emit_csv(args.out, header, rows())
+    _emit_csv(args.out, header, _blocks(len(traj.ts), block))
     return EXIT_OK
 
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +117,48 @@ def run_reference(problem, config, z0):
         alphas[K] = a
         anchor_inner[K] = g.dot(z - z0c)
     return grad_sq, oracle_calls, alphas, anchor_inner, iterates
+
+
+def alpha_limit_stopping_rule(alpha0, R, tol=1e-12, max_k=10**6):
+    """The former limit: the recurrence stepped until its relative step is below tol."""
+    a = alpha0
+    for k in range(max_k):
+        nxt = eag_v_alpha_next(a, k, R)
+        if abs(a - nxt) < tol * a:
+            return nxt
+        a = nxt
+    return a
+
+
+def alpha_limit_reference(a0R, steps=4_000_000):
+    """alpha_inf at R = 1: ``steps`` steps of the delta = 2 recurrence, then the
+    first-order tail ln alpha_inf = ln alpha_K - c_K sum_{k>=K} 1/((k+1)(k+3))."""
+    a = a0R
+    for k in range(steps):
+        aa = a * a
+        a *= 1.0 - (aa / (1.0 - aa)) / ((k + 1) * (k + 3))
+    c = a * a / (1.0 - a * a)
+    return a * math.exp(-c * 0.5 * (1.0 / (steps + 1) + 1.0 / (steps + 2)))
+
+
+LIMIT_STARTS = (0.05, 0.3, 0.618, 0.74)
+
+
+@pytest.fixture(scope="module")
+def alpha_limit_refs():
+    return {a0R: alpha_limit_reference(a0R) for a0R in LIMIT_STARTS}
+
+
+# joint operator evaluations per iteration, as the methods are defined
+PER_ITER = [
+    (AlgoKind.EAG_C, 2),
+    (AlgoKind.EAG_V, 2),
+    (AlgoKind.EG, 2),
+    (AlgoKind.POPOV, 1),
+    (AlgoKind.SIMGD_A, 1),
+    (AlgoKind.ALT_GDA, 2),
+    (AlgoKind.SIM_GD, 1),
+]
 
 
 def bilinear_iterates(kind, z, alpha=0.1, iters=1):
@@ -260,6 +305,16 @@ class TestAlphaRecurrence:
         with pytest.raises(ContractError):
             eag_v_alpha_limit(0.76, 1.0)
 
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    @pytest.mark.parametrize("a0R", LIMIT_STARTS)
+    def test_limit_matches_long_reference(self, alpha_limit_refs, a0R, R):
+        # halving alpha0 and doubling R scales every alpha_k by exactly 1/2
+        ref = alpha_limit_refs[a0R] / R
+        lim = eag_v_alpha_limit(a0R / R, R)
+        assert lim == pytest.approx(ref, rel=1e-9, abs=0)
+        # the former stopping rule quit while the sequence was still falling
+        assert lim < alpha_limit_stopping_rule(a0R / R, R)
+
     @pytest.mark.parametrize("a0", [0.05, 0.2, 0.437, 0.618, 0.74])
     def test_monotone_decreasing_and_positive(self, a0):
         a = a0
@@ -365,22 +420,16 @@ class TestRun:
         for z in trace.iterates:
             assert np.array_equal(z, np.zeros(2))
 
-    @pytest.mark.parametrize(
-        "kind,per_iter",
-        [
-            (AlgoKind.EAG_C, 2),
-            (AlgoKind.EAG_V, 2),
-            (AlgoKind.EG, 2),
-            (AlgoKind.POPOV, 1),
-            (AlgoKind.SIMGD_A, 1),
-            (AlgoKind.ALT_GDA, 2),
-            (AlgoKind.SIM_GD, 1),
-        ],
-    )
+    @pytest.mark.parametrize("kind,per_iter", PER_ITER)
     def test_oracle_accounting_exact(self, bilinear, kind, per_iter):
         z0 = bilinear.point([1.0, 0.0])
         trace = run(bilinear, AlgoConfig(kind, 0.1, 25), z0)
         assert trace.oracle_calls.tolist() == [per_iter * k for k in range(26)]
+        # a counter that already holds calls is continued
+        counter = OracleCounter(evals=7)
+        trace = run(bilinear, AlgoConfig(kind, 0.1, 25), z0, counter=counter)
+        assert trace.oracle_calls.tolist() == [7 + per_iter * k for k in range(26)]
+        assert counter.evals == 7 + per_iter * 25
 
     def test_grad_sq_matches_recomputation(self, bilinear):
         z0 = bilinear.point([0.3, -0.9])
@@ -418,6 +467,34 @@ class TestRun:
         z0 = bilinear.point([1.0, 0.0])
         with pytest.raises(NumericalDivergenceError, match="iteration"):
             run(bilinear, AlgoConfig(AlgoKind.SIM_GD, 0.9, 5000), z0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,per_iter", PER_ITER)
+    def test_injected_non_finite_names_iteration(self, bilinear, kind, per_iter, bad):
+        # G turns non-finite on its first call of iteration k0 - 1, so z^k0 is
+        # the first bad iterate, after k0 completed updates
+        k0, calls = 9, []
+
+        def op(z):
+            calls.append(z)
+            g = bilinear.operator(z)
+            return np.full_like(g, bad) if len(calls) == (k0 - 1) * per_iter + 1 else g
+
+        problem = replace(bilinear, operator=op)
+        calls.clear()  # the saddle-point check at construction called op
+        counter = OracleCounter(evals=7)
+        with pytest.raises(NumericalDivergenceError, match=rf"at iteration {k0}$"):
+            run(problem, AlgoConfig(kind, 0.1, 50), bilinear.point([1.0, 0.0]),
+                counter=counter)
+        assert counter.evals == 7 + per_iter * k0
+
+    def test_overflowing_finite_iterate_does_not_raise(self, bilinear):
+        # z . z overflows to inf at entries near 1e200, yet every entry is finite
+        z0 = bilinear.point([1e200, -1e200])
+        trace = run(bilinear, AlgoConfig(AlgoKind.EG, 0.1, 5), z0, dense=True)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(trace.iterates[0] @ trace.iterates[0])
+        assert all(np.isfinite(z).all() for z in trace.iterates)
 
     def test_eag_v_stepsize_validated(self, bilinear):
         with pytest.raises(ContractError):
@@ -519,6 +596,17 @@ class TestTheoreticalBound:
     def test_no_bound_for_popov(self):
         with pytest.raises(ContractError):
             theoretical_bound(AlgoKind.POPOV, 5, 1.0, 1.0, alpha=0.1)
+
+    @pytest.mark.parametrize("kind", [AlgoKind.EAG_C, AlgoKind.EAG_V, AlgoKind.EG])
+    def test_int_array_k_matches_scalar_calls_bitwise(self, kind):
+        ks = np.unique(np.concatenate([
+            np.arange(3000), np.geomspace(1, 10**6, 2000).astype(np.int64), [10**6]
+        ]))
+        R, D = 1.3, 2.7
+        params = dict(alpha=0.09, alpha0=0.45, alpha_inf=eag_v_alpha_limit(0.45, R))
+        got = theoretical_bound(kind, ks, R, D, **params)
+        want = np.array([theoretical_bound(kind, k, R, D, **params) for k in ks.tolist()])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_config_validation():

@@ -11,7 +11,6 @@ from anchored_minimax import (
     CertificateError,
     ContractError,
     EagCCertificate,
-    LyapunovCoefficients,
     Trace,
     check_eag_c_stepsize,
     check_lyapunov_monotone,
@@ -142,33 +141,46 @@ class TestStepsizeCondition:
             check_eag_c_stepsize(0.0)
 
 
+def lyapunov_coefficients(alpha0, K, delta):
+    """A_k and B_k as lyapunov_sequence applies them, with alpha_k.
+
+    V of a dense EAG-V trace whose grad_sq is 1 and anchor_inner 0 is A_k;
+    with the two swapped it is B_k.
+    """
+    p = make_bilinear(1.0)
+    config = AlgoConfig(AlgoKind.EAG_V, alpha0, K, anchor_delta=delta)
+    trace = run(p, config, p.point([1.0, 0.0]))
+    one, zero = np.ones(K + 1), np.zeros(K + 1)
+    A = lyapunov_sequence(dataclasses.replace(trace, grad_sq=one, anchor_inner=zero), p)
+    B = lyapunov_sequence(dataclasses.replace(trace, grad_sq=zero, anchor_inner=one), p)
+    return A, B, trace.alphas
+
+
 class TestLyapunovCoefficients:
+    """The closed forms B_k = (k+delta-1)/(delta-1) and
+    A_k = alpha_k (k+delta)(k+delta-1)/(2(delta-1)) against the recurrences."""
+
     def test_closed_forms_at_delta_two(self):
-        coeffs = LyapunovCoefficients.from_recurrence(0.618, 1.0, 50, delta=2.0)
+        A, B, alphas = lyapunov_coefficients(0.618, 50, 2.0)
         for k in range(51):
-            assert coeffs.B[k] == k + 1  # exact
-            assert coeffs.A[k] == pytest.approx(
-                coeffs.alphas[k] * (k + 1) * (k + 2) / 2, rel=1e-15
-            )
+            assert B[k] == k + 1  # exact
+            assert A[k] == pytest.approx(alphas[k] * (k + 1) * (k + 2) / 2, rel=1e-15)
 
     def test_closed_forms_at_delta_three(self):
-        coeffs = LyapunovCoefficients.from_recurrence(0.5, 1.0, 30, delta=3.0)
+        A, B, alphas = lyapunov_coefficients(0.5, 30, 3.0)
         for k in range(31):
-            assert coeffs.B[k] == pytest.approx((k + 2) / 2, rel=1e-14)
-            assert coeffs.A[k] == pytest.approx(
-                coeffs.alphas[k] * (k + 3) * (k + 2) / 4, rel=1e-14
-            )
+            assert B[k] == pytest.approx((k + 2) / 2, rel=1e-14)
+            assert A[k] == pytest.approx(alphas[k] * (k + 3) * (k + 2) / 4, rel=1e-14)
 
     def test_recurrence_invariants(self):
-        coeffs = LyapunovCoefficients.from_recurrence(0.3, 1.0, 20, delta=2.5)
-        assert coeffs.B[0] == 1.0
+        # B_0 = 1, B_{k+1} = B_k / (1 - beta_k), A_k = alpha_k B_k / (2 beta_k)
+        delta = 2.5
+        A, B, alphas = lyapunov_coefficients(0.3, 20, delta)
+        assert B[0] == 1.0
         for k in range(20):
-            assert coeffs.B[k + 1] == pytest.approx(
-                coeffs.B[k] / (1 - coeffs.betas[k]), rel=1e-14
-            )
-            assert coeffs.A[k] == pytest.approx(
-                coeffs.alphas[k] / (2 * coeffs.betas[k]) * coeffs.B[k], rel=1e-14
-            )
+            beta = 1.0 / (k + delta)
+            assert B[k + 1] == pytest.approx(B[k] / (1 - beta), rel=1e-14)
+            assert A[k] == pytest.approx(alphas[k] / (2 * beta) * B[k], rel=1e-14)
 
 
 class TestLyapunovSequence:

@@ -7,8 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anchored_minimax import Point, cli, make_bilinear
+from anchored_minimax import (
+    AlgoKind,
+    Point,
+    check_eag_c_stepsize,
+    cli,
+    eag_v_alpha_limit,
+    make_bilinear,
+    theoretical_bound,
+)
 from anchored_minimax.cli import main
+
+KINDS = [k.value for k in AlgoKind]
 
 
 def invoke(argv, capsys):
@@ -21,6 +31,59 @@ def read_csv(path):
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     return rows[0], rows[1:]
+
+
+def with_unknown_saddle(monkeypatch):
+    """Make the preset name "no-saddle" a bilinear problem with saddle_point=None."""
+    load_preset = cli.load_preset
+
+    def load(name):
+        if name == "no-saddle":
+            problem = replace(make_bilinear(), saddle_point=None)
+            return problem, Point(np.array([1.0, 0.0]), 1)
+        return load_preset(name)
+
+    monkeypatch.setattr(cli, "load_preset", load)
+
+
+def run_csv_reference(trace, problem, config, z0, bound=True):
+    """The CSV of `run` emitted row by row through csv.writer, as it was
+    before the columnar writer: one scalar theoretical_bound call per row."""
+    kind, alpha, R = config.kind, config.alpha0, problem.lipschitz
+    zs = problem.saddle_point.coords if problem.saddle_point is not None else None
+    D = float(np.linalg.norm(z0.coords - zs)) if zs is not None else None
+    with_bound = (
+        bound and D is not None and kind in (AlgoKind.EAG_C, AlgoKind.EAG_V, AlgoKind.EG)
+    )
+    if with_bound and kind == AlgoKind.EAG_C and not check_eag_c_stepsize(alpha * R):
+        with_bound = False
+    if with_bound and kind == AlgoKind.EG and not alpha * R < 1:
+        with_bound = False
+    ainf = (
+        eag_v_alpha_limit(alpha, R) if with_bound and kind == AlgoKind.EAG_V else None
+    )
+    with_alpha = trace.alphas is not None and kind == AlgoKind.EAG_V
+    header = ["k", "grad_sq"]
+    header += ["bound"] if with_bound else []
+    header += ["alpha_k"] if with_alpha else []
+    header += ["oracle_calls"]
+    header += ["dist_to_saddle_sq"] if zs is not None else []
+    dists = cli._dist_to_saddle_sq(trace, zs) if zs is not None else None
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(header)
+    for k in trace.stored_ks.tolist():
+        row = [str(k), f"{trace.grad_sq[k]:.17g}"]
+        if with_bound:
+            b = theoretical_bound(kind, k, R, D, alpha=alpha, alpha0=alpha, alpha_inf=ainf)
+            row.append(f"{b:.17g}")
+        if with_alpha:
+            row.append(f"{trace.alphas[k]:.17g}")
+        row.append(str(int(trace.oracle_calls[k])))
+        if dists is not None:
+            row.append(f"{next(dists):.17g}")
+        w.writerow(row)
+    return buf.getvalue().encode()
 
 
 class TestRunCommand:
@@ -81,6 +144,23 @@ class TestRunCommand:
         assert code == 0
         header, _ = read_csv(out)
         assert "bound" not in header
+
+    @pytest.mark.parametrize(
+        "algo, has_bound", [("eag-v", False), ("eag-c", False), ("eg", True)]
+    )
+    def test_bound_column_only_where_the_rate_is_proved(
+        self, algo, has_bound, tmp_path, capsys
+    ):
+        # the anchored rates are proved at delta = 2; EG ignores delta
+        out = tmp_path / "d3.csv"
+        code, _, _ = invoke(
+            ["run", "--problem", "huber-default", "--algo", algo, "--alpha", "0.1",
+             "--anchor-delta", "3", "--iters", "3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        header, rows = read_csv(out)
+        assert ("bound" in header) == has_bound and len(rows) == 4
 
     def test_eagc_preset_step_has_bound_column(self, tmp_path, capsys):
         out = tmp_path / "oc.csv"
@@ -193,19 +273,11 @@ class TestRunCommand:
     def test_distance_column_matches_per_row_reference(
         self, argv, tmp_path, capsys, monkeypatch
     ):
-        load_preset = cli.load_preset
-
-        def with_unknown_saddle(name):
-            if name == "no-saddle":
-                problem = replace(make_bilinear(), saddle_point=None)
-                return problem, Point(np.array([1.0, 0.0]), 1)
-            return load_preset(name)
-
         def per_row(trace, zs):
             for k in trace.stored_ks.tolist():
                 yield float(np.sum((trace.iterate(k) - zs) ** 2))
 
-        monkeypatch.setattr(cli, "load_preset", with_unknown_saddle)
+        with_unknown_saddle(monkeypatch)
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         assert invoke(["run", *argv, "--out", str(new)], capsys)[0] == 0
         monkeypatch.setattr(cli, "_dist_to_saddle_sq", per_row)
@@ -213,7 +285,46 @@ class TestRunCommand:
         assert new.read_bytes() == ref.read_bytes()
         header, rows = read_csv(new)
         assert ("dist_to_saddle_sq" in header) == (argv[1] != "no-saddle")
-        assert len(rows) > cli.DIST_BLOCK
+        assert len(rows) > cli.EMIT_BLOCK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["--problem", "huber-default", "--algo", a, "--alpha", "0.1",
+               "--iters", "1500"] for a in KINDS),
+            *(["--problem", "huber-default", "--algo", a, "--alpha", "0.1",
+               "--iters", "20000"] for a in KINDS),
+            ["--problem", "ouyang-200", "--algo", "eag-v", "--iters", "2000", "--dense"],
+            ["--problem", "no-saddle", "--algo", "eg", "--alpha", "0.1",
+             "--iters", "600"],
+            ["--problem", "huber-default", "--algo", "eag-v", "--alpha0", "0.618",
+             "--iters", "1500", "--no-bound"],
+            ["--problem", "ouyang-200", "--algo", "eag-c", "--alpha", "0.1265",
+             "--iters", "1500"],
+        ],
+        ids=[*(f"{a}-dense" for a in KINDS), *(f"{a}-thinned" for a in KINDS),
+             "ouyang-200", "no-saddle", "no-bound", "eag-c-beyond-theorem"],
+    )
+    def test_columnar_csv_matches_row_by_row_reference(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        with_unknown_saddle(monkeypatch)
+        seen = {}
+        real_run = cli.run
+
+        def recording_run(problem, config, z0, **kwargs):
+            seen.update(problem=problem, config=config, z0=z0)
+            seen["trace"] = real_run(problem, config, z0, **kwargs)
+            return seen["trace"]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # EAG-C at 0.1265
+            assert invoke(["run", *argv, "--out", str(out)], capsys)[0] == 0
+        want = run_csv_reference(**seen, bound="--no-bound" not in argv)
+        assert out.read_bytes() == want
+        assert len(seen["trace"].stored_ks) > cli.EMIT_BLOCK
 
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ANCHORED_MINIMAX_SEED", "3")
@@ -271,6 +382,30 @@ class TestCertifyCommand:
                                 capsys)
         assert code == 1 and "FAIL" in out
         assert "first failure at k=37" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alphaR", "1e-8", "--k", "200"],  # vacuous interval check
+            ["--alphaR", "0.2", "--k", "200"],   # fails the step-size conditions
+            ["--alphaR", "0.125", "--k", "0"],
+        ],
+        ids=["vacuous", "stepsize", "k0"],
+    )
+    def test_eagc_bad_input_exit_2(self, argv, capsys):
+        code, out, err = invoke(["certify", "eagc", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_eagc_broken_induction_exit_1(self, capsys, monkeypatch):
+        import anchored_minimax.certificates as certs_mod
+
+        # an A_1 far above u_1 contradicts the proof induction
+        monkeypatch.setattr(certs_mod, "_a_next_case1", lambda k, a, A: 1e6)
+        code, out, err = invoke(["certify", "eagc", "--alphaR", "0.125", "--k", "10"],
+                                capsys)
+        assert code == 1 and out == ""
+        assert "certificate failure" in err and "A_1" in err
 
     def test_lyapunov_pass(self, capsys):
         code, out, _ = invoke(
