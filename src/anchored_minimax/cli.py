@@ -1,7 +1,8 @@
 """Command-line front end: runs, certificates, lower-bound labs, flows.
 
 Exit codes: 0 success, 1 certificate or bound failure, 2 usage error,
-3 numerical abort. All data output is RFC-4180 CSV with '.' decimals and 17
+3 numerical abort; ``main`` maps ContractError, CertificateError and
+NumericalDivergenceError to 2, 1 and 3 for every subcommand. All data output is RFC-4180 CSV with '.' decimals and 17
 significant digits; identical command lines produce byte-identical files.
 """
 
@@ -100,39 +101,25 @@ def _alpha_default(preset: str, algo: str) -> float | None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.problem is None or args.algo is None:
-        print("error: --problem and --algo are required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        problem, z0, preset = _resolve_problem(args.problem, args.seed)
-        kind = AlgoKind(args.algo)
-        alpha = args.alpha0 if args.alpha0 is not None else args.alpha
-        if alpha is None:
-            alpha = _alpha_default(preset, kind.value)
-        if alpha is None and kind == AlgoKind.SIMGD_A:
-            alpha = 1.0  # SimGD-A's schedule comes from p and gamma, not alpha
-        if alpha is None:
-            print(
-                f"error: no step size given and no default for {preset}/{kind.value}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        config = AlgoConfig(
-            kind=kind,
-            alpha0=alpha,
-            iters=args.iters,
-            anchor_delta=args.anchor_delta,
-            simgd_p=args.simgd_p,
-            simgd_gamma=args.simgd_gamma,
-        )
-    except (ContractError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        trace = run(problem, config, z0, dense=args.dense)
-    except NumericalDivergenceError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ContractError("--problem and --algo are required")
+    problem, z0, preset = _resolve_problem(args.problem, args.seed)
+    kind = AlgoKind(args.algo)
+    alpha = args.alpha0 if args.alpha0 is not None else args.alpha
+    if alpha is None:
+        alpha = _alpha_default(preset, kind.value)
+    if alpha is None and kind == AlgoKind.SIMGD_A:
+        alpha = 1.0  # SimGD-A's schedule comes from p and gamma, not alpha
+    if alpha is None:
+        raise ContractError(f"no step size given and no default for {preset}/{kind.value}")
+    config = AlgoConfig(
+        kind=kind,
+        alpha0=alpha,
+        iters=args.iters,
+        anchor_delta=args.anchor_delta,
+        simgd_p=args.simgd_p,
+        simgd_gamma=args.simgd_gamma,
+    )
+    trace = run(problem, config, z0, dense=args.dense)
 
     R = problem.lipschitz
     zs = problem.saddle_point.coords if problem.saddle_point is not None else None
@@ -184,11 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     if args.kind == "stepsize":
-        try:
-            ok = check_eag_c_stepsize(args.alphaR)
-        except ContractError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        ok = check_eag_c_stepsize(args.alphaR)
         print(f"stepsize alphaR={_fmt(args.alphaR)}: {'PASS' if ok else 'FAIL'}")
         if args.out:
             _emit_csv(
@@ -197,14 +180,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if args.kind == "eagc":
-        try:
-            certs = eag_c_certificate(args.alphaR, args.k)
-        except ContractError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CertificateError as exc:
-            print(f"certificate failure: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
+        certs = eag_c_certificate(args.alphaR, args.k)
         ok = all(c.verdict for c in certs)
         worst_eig = min(c.min_eig / max(c.scale, 1e-300) for c in certs)
         print(
@@ -238,21 +214,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     # lyapunov
-    try:
-        problem, z0, preset = _resolve_problem(args.problem, args.seed)
-        config = AlgoConfig(
-            kind=AlgoKind.EAG_V,
-            alpha0=args.alpha0,
-            iters=args.iters,
-            anchor_delta=args.anchor_delta,
-        )
-        trace = run(problem, config, z0)
-    except (ContractError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericalDivergenceError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    problem, z0, preset = _resolve_problem(args.problem, args.seed)
+    config = AlgoConfig(
+        kind=AlgoKind.EAG_V,
+        alpha0=args.alpha0,
+        iters=args.iters,
+        anchor_delta=args.anchor_delta,
+    )
+    trace = run(problem, config, z0)
     V = lyapunov_sequence(trace, problem)
     R = problem.lipschitz
     if problem.saddle_point is not None:
@@ -282,13 +251,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_lowerbound(args: argparse.Namespace) -> int:
     if args.k is None:
-        print("error: --k is required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        inst = build_hard_instance(args.k, args.R, args.D, args.n)
-    except (ContractError, CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ContractError("--k is required")
+    inst = build_hard_instance(args.k, args.R, args.D, args.n)
     m = inst.m
     target = args.R**2 * args.D**2 / (2 * m + 1) ** 2
     A = inst.A
@@ -305,19 +269,11 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     names, values = ["closed_form", "krylov", "chebyshev"], [target, kry, cheb]
     algo_ok = True
     if args.algo is not None:
-        try:
-            kind = AlgoKind(args.algo)
-        except ValueError:
-            print(f"error: unknown algorithm {args.algo!r}", file=sys.stderr)
-            return EXIT_USAGE
+        kind = AlgoKind(args.algo)
         iters = args.iters if args.iters else max(2, args.k)
         config = AlgoConfig(kind=kind, alpha0=args.alpha, iters=iters)
         z0 = Point(np.zeros(2 * inst.n), inst.n)
-        try:
-            trace = run(inst.saddle, config, z0, dense=True)
-        except NumericalDivergenceError as exc:
-            print(f"numerical abort: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        trace = run(inst.saddle, config, z0, dense=True)
         report = verify_lower_bound(inst, trace)
         algo_ok = report.applicable and report.verdict
         print(
@@ -335,25 +291,16 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 
 def cmd_flow(args: argparse.Namespace) -> int:
     if args.kind is None:
-        print("error: --kind is required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        spec = FlowSpec(
-            kind=FlowKind(args.kind),
-            z0=(args.x0, args.y0),
-            t_end=args.t_end,
-            steps=args.steps,
-            lam=args.lam,
-            t_start=args.t_start,
-        )
-    except (ContractError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        traj = integrate_flow(spec)
-    except NumericalDivergenceError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ContractError("--kind is required")
+    spec = FlowSpec(
+        kind=FlowKind(args.kind),
+        z0=(args.x0, args.y0),
+        t_end=args.t_end,
+        steps=args.steps,
+        lam=args.lam,
+        t_start=args.t_start,
+    )
+    traj = integrate_flow(spec)
     closed = flow_closed_form(spec, traj.ts)
 
     header = ["t", "x_closed", "y_closed", "x_rk4", "y_rk4", "deviation"]
@@ -422,10 +369,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             )
         if action.const in (True, False):  # store_true / store_false flags
             parsed = val.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            parsed = action.type(val)
         else:
-            parsed = val
+            # set_defaults bypasses argparse's own type and choices checks
+            try:
+                parsed = val if action.type is None else action.type(val)
+            except ValueError:
+                parser.error(f"config file {path}: invalid value {val!r} for key {key!r}")
+            if action.choices is not None and parsed not in action.choices:
+                parser.error(
+                    f"config file {path}: invalid choice {val!r} for key {key!r} "
+                    f"(choose from {', '.join(map(str, action.choices))})"
+                )
         subparser.set_defaults(**{action.dest: parsed})
     return argv
 
@@ -503,7 +457,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except CertificateError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except NumericalDivergenceError as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -7,14 +7,14 @@ independent ways, which must agree:
   polynomials with p(0) = 1, built from an odd Chebyshev polynomial and
   certified by closed-form dual weights on its 2m+2 extremal nodes,
 * the exact minimum residual over the order-(k-1) Krylov subspace of the
-  constructed hard instance (brute-force least squares), and
+  constructed hard instance (least squares on an orthonormal basis), and
 * the residual of the optimal polynomial solver (the Chebyshev
   semi-iterative method), which attains the floor on every matrix of
   norm <= R.
 
-The minimax polynomial is only ever evaluated by its three-term recurrence,
-never from expanded coefficients, so all three agree to 1e-8 at every
-depth (tested up to k = 1000).
+The minimax polynomial exists only as its three-term recurrence; nothing
+expands it into powers of t, so all three agree to 1e-8 at every depth
+(tested up to k = 1000).
 
 Span-respecting algorithm runs are checked against the instance floor at
 every step whose consumed oracle budget fits the instance's design depth.
@@ -32,7 +32,6 @@ from .core import CertificateError, ContractError, Point, SaddleProblem
 
 __all__ = [
     "chebyshev_eval",
-    "chebyshev_coefficients",
     "MinimaxPoly",
     "minimax_poly",
     "chebyshev_nodes",
@@ -62,38 +61,18 @@ def chebyshev_eval(N: int, t):
     return cur if cur.ndim else float(cur)
 
 
-def chebyshev_coefficients(N: int) -> np.ndarray:
-    """Monomial coefficients of T_N, ascending powers. Exact integers."""
-    if N < 0:
-        raise ContractError("N must be >= 0")
-    prev = np.zeros(N + 1)
-    prev[0] = 1.0
-    if N == 0:
-        return prev
-    cur = np.zeros(N + 1)
-    cur[1] = 1.0
-    for _ in range(N - 1):
-        nxt = np.zeros(N + 1)
-        nxt[1:] = 2 * cur[:-1]
-        nxt -= prev
-        prev, cur = cur, nxt
-    return cur
-
-
 @dataclass(frozen=True)
 class MinimaxPoly:
     """The degree-k minimizer of max |t p(t)| over [-R, R] with p(0) = 1.
 
     The polynomial is even of degree 2m, m = floor(k/2); its weighted values
     t p(t) equioscillate with magnitude m_star = R/(2m+1) at 2m+2 nodes.
-    Calls evaluate it by the three-term recurrence of ``_semi_iterate``;
-    ``coeffs`` is the monomial expansion, which overflows from k = 820 on.
+    Calls evaluate it by the three-term recurrence of ``_semi_iterate``.
     """
 
     k: int
     m: int
     R: float
-    coeffs: np.ndarray  # ascending powers, length 2m+1
     m_star: float
 
     def __call__(self, t):
@@ -112,19 +91,13 @@ def chebyshev_nodes(k: int, R: float = 1.0) -> np.ndarray:
 
 
 def minimax_poly(k: int, R: float = 1.0) -> MinimaxPoly:
-    """Expand ((-1)^m/(2m+1)) (R/t) T_{2m+1}(t/R) into monomial form."""
+    """The polynomial p(t) = ((-1)^m/(2m+1)) (R/t) T_{2m+1}(t/R), m = floor(k/2)."""
     if k < 1:
         raise ContractError("k must be >= 1")
     if not R > 0:
         raise ContractError("R must be > 0")
     m = k // 2
-    N = 2 * m + 1
-    TN = chebyshev_coefficients(N)  # odd polynomial
-    coeffs = np.zeros(2 * m + 1)
-    sign = (-1) ** m / (2 * m + 1)
-    for i in range(1, N + 1, 2):
-        coeffs[i - 1] = sign * TN[i] * R ** (1 - i)
-    return MinimaxPoly(k=k, m=m, R=R, coeffs=coeffs, m_star=R / (2 * m + 1))
+    return MinimaxPoly(k=k, m=m, R=R, m_star=R / (2 * m + 1))
 
 
 def _semi_iterate(m: int, R: float, v, B, Bt):
@@ -211,10 +184,11 @@ def dual_weights(k: int) -> np.ndarray:
 class HardInstance:
     """Symmetric linear-equation instance plus its embedded biaffine saddle.
 
-    ``lambdas`` are the nonzero eigenvalues of the diagonal matrix A (on the
-    first 2m+2 coordinates), ``x_star`` the minimum-norm solution of
-    A x = b, and ``saddle`` the biaffine problem <A x - b, y - c> with
-    c = x_star, whose saddle point nearest the origin is (x_star, x_star).
+    ``diag`` is the diagonal of A; its first 2m+2 entries, ``lambdas``, are
+    the nonzero eigenvalues and the rest are zero.  ``x_star`` is the
+    minimum-norm solution of A x = b, and ``saddle`` the biaffine problem
+    <A x - b, y - c> with c = x_star, whose saddle point nearest the origin
+    is (x_star, x_star).
     """
 
     k: int
@@ -222,17 +196,19 @@ class HardInstance:
     n: int
     R: float
     D: float
-    lambdas: np.ndarray
+    diag: np.ndarray
     mu: np.ndarray
     x_star: np.ndarray
     b: np.ndarray
     saddle: SaddleProblem = field(repr=False)
 
     @property
+    def lambdas(self) -> np.ndarray:
+        return self.diag[: 2 * self.m + 2]
+
+    @property
     def A(self) -> np.ndarray:
-        diag = np.zeros(self.n)
-        diag[: len(self.lambdas)] = self.lambdas
-        return np.diag(diag)
+        return np.diag(self.diag)
 
     @property
     def floor(self) -> float:
@@ -279,39 +255,38 @@ def _assemble_instance(k, n, R, D, lam, mu) -> HardInstance:
     m = k // 2
     x_star = np.zeros(n)
     x_star[: 2 * m + 2] = D * np.sqrt(mu)
-    a_diag = np.zeros(n)
-    a_diag[: 2 * m + 2] = lam
-    b = a_diag * x_star
-    saddle = _embed_saddle(n, a_diag, b, x_star, R, k)
+    diag = np.zeros(n)
+    diag[: 2 * m + 2] = lam
+    b = diag * x_star
     return HardInstance(
-        k=k, m=m, n=n, R=R, D=D,
-        lambdas=np.asarray(lam, dtype=float),
+        k=k, m=m, n=n, R=R, D=D, diag=diag,
         mu=np.asarray(mu, dtype=float),
-        x_star=x_star, b=b, saddle=saddle,
+        x_star=x_star, b=b, saddle=_embed_saddle(n, diag, b, x_star, R, k),
     )
 
 
-def _krylov_basis(apply, b: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Orthonormal basis of span{b, A b, ..., A^(depth-1) b}; ``apply`` is v -> A v.
+def _krylov_basis(apply, b: np.ndarray, depth: int) -> np.ndarray:
+    """Orthonormal columns Q spanning {b, A b, ..., A^(depth-1) b}; ``apply`` is v -> A v.
 
-    Modified Gram-Schmidt with one reorthogonalization pass keeps the basis
-    orthonormal despite the ill-conditioning of raw power bases.  Stops early
-    if the Krylov space degenerates (the span is unchanged by degeneration).
+    Classical Gram-Schmidt applied twice keeps the columns orthonormal to
+    working precision despite the ill-conditioning of raw power bases
+    ("twice is enough": Giraud, Langou & Rozloznik, 2005).  Stops early if
+    the Krylov space degenerates (the span is unchanged by degeneration), so
+    Q has at most ``depth`` columns, and never more than its n rows.
     """
     nb = float(np.linalg.norm(b))
-    basis: list[np.ndarray] = []
+    Q = np.empty((len(b), min(depth, len(b))))
     w = b
-    for _ in range(depth):
-        v = w.copy()
-        for _ in range(2):
-            for u in basis:
-                v -= (u @ v) * u
+    for j in range(Q.shape[1]):
+        P = Q[:, :j]
+        v = w - P @ (P.T @ w)
+        v -= P @ (P.T @ v)
         nv = float(np.linalg.norm(v))
         if nv <= 1e-14 * nb:
-            break
-        basis.append(v / nv)
-        w = apply(basis[-1])
-    return basis
+            return Q[:, :j]
+        Q[:, j] = v / nv
+        w = apply(Q[:, j])
+    return Q
 
 
 def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
@@ -326,7 +301,7 @@ def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
     b = np.asarray(b, dtype=float)
     if not b.any():
         return 0.0
-    Q = np.column_stack(_krylov_basis(lambda v: A @ v, b, k))
+    Q = _krylov_basis(lambda v: A @ v, b, k)
     AQ = A @ Q
     coef, *_ = np.linalg.lstsq(AQ, b, rcond=None)
     r = AQ @ coef - b
@@ -405,18 +380,15 @@ def verify_lower_bound(
         )
 
     n = instance.n
-    a_diag = np.zeros(n)
-    a_diag[: len(instance.lambdas)] = instance.lambdas
     depth_max = min(int(k), 2 * len(instance.lambdas))
-    basis = _krylov_basis(lambda v: a_diag * v, instance.b, depth_max)
+    Q = _krylov_basis(lambda v: instance.diag * v, instance.b, depth_max)
 
     def in_span(block: np.ndarray, depth: int) -> bool:
         nrm = float(np.linalg.norm(block))
         if nrm == 0.0:
             return True
-        r = block.copy()
-        for u in basis[: min(depth, len(basis))]:
-            r -= (u @ r) * u
+        Qd = Q[:, :depth]
+        r = block - Qd @ (Qd.T @ block)
         return float(np.linalg.norm(r)) <= span_tol * nrm
 
     steps: list[StepCheck] = []

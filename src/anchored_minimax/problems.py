@@ -413,12 +413,13 @@ def load_preset(name: str) -> tuple[SaddleProblem, Point]:
     if name == "bilinear-unit":
         return make_bilinear(1.0), Point(np.array([1.0, 0.0]), 1)
     if name.startswith("random-monotone:"):
-        parts = name.split(":")
-        if len(parts) != 3:
+        try:
+            _, n, seed = name.split(":")
+            n, seed = int(n), int(seed)
+        except ValueError as exc:
             raise ContractError(
                 f"bad preset {name!r}; use random-monotone:<n>:<seed>"
-            )
-        n, seed = int(parts[1]), int(parts[2])
+            ) from exc
         problem = make_random_monotone(n, 1.0, seed)
         rng = np.random.default_rng(seed + 1)
         z0 = rng.normal(size=2 * n)

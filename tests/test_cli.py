@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -531,3 +533,39 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
     )
     assert code == 2
     assert f"instance field {needle}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["run", "--problem", "bilinear-unit", "--algo", "eag-v",
+          "--alpha0", "0.8", "--iters", "3"], 2, "error: "),
+        (["lowerbound", "--k", "4", "--algo", "eag-v", "--alpha", "0.8"], 2, "error: "),
+        (["lowerbound", "--k", "4", "--algo", "eg", "--alpha", "0"], 2, "error: "),
+        (["flow", "--kind", "anchored", "--overlay-algo", "eag-v",
+          "--overlay-alpha", "0.8"], 2, "error: "),
+        (["flow", "--kind", "anchored", "--overlay-algo", "eg",
+          "--overlay-alpha", "0"], 2, "error: "),
+        (["flow", "--kind", "anchored", "--overlay-algo", "sim-gd",
+          "--overlay-alpha", "1e200", "--steps", "100"], 3, "numerical abort: "),
+        (["run", "--problem", "random-monotone:x:1", "--algo", "eg",
+          "--alpha", "0.1"], 2, "error: "),
+        (["run", "--config", "algo-foo.cfg"], 2, "usage: "),
+    ],
+    ids=["run-eag-v-step", "lowerbound-eag-v-step", "lowerbound-eg-zero-step",
+         "flow-eag-v-step", "flow-eg-zero-step", "flow-divergence",
+         "preset-not-an-int", "config-choice"],
+)
+def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
+    # a real process, so an escaping exception shows as its traceback
+    (tmp_path / "algo-foo.cfg").write_text("problem=bilinear-unit\nalgo=foo\nalpha=0.1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchored_minimax.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix)
+    assert "Traceback" not in proc.stderr

@@ -1,14 +1,17 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import cheb2poly
 
 from anchored_minimax import (
     AlgoConfig,
     AlgoKind,
     ContractError,
     Point,
-    Trace,
     build_hard_instance,
     chebyshev_eval,
     chebyshev_nodes,
@@ -21,7 +24,7 @@ from anchored_minimax import (
     save_instance,
     verify_lower_bound,
 )
-from anchored_minimax.lowerbound import _kkt_residual_cheb
+from anchored_minimax.lowerbound import _kkt_residual_cheb, _krylov_basis
 
 
 class TestChebyshev:
@@ -47,19 +50,21 @@ class TestMinimaxPoly:
     def test_degree_one_is_constant(self):
         p = minimax_poly(1, R=2.0)
         assert p.m == 0
-        assert p.coeffs.tolist() == [1.0]
+        grid = np.linspace(-2, 2, 101)
+        assert np.array_equal(p(grid), np.ones_like(grid))
         assert p.m_star == 2.0
 
     def test_degree_two_closed_form(self):
         p = minimax_poly(2, R=1.0)
-        assert np.allclose(p.coeffs, [1.0, 0.0, -4.0 / 3.0], atol=1e-15)
-        assert p.m_star == pytest.approx(1.0 / 3.0)
         grid = np.linspace(-1, 1, 100_001)
+        assert np.allclose(p(grid), 1.0 - 4.0 * grid**2 / 3.0, rtol=0, atol=1e-15)
+        assert p.m_star == pytest.approx(1.0 / 3.0)
         assert np.abs(grid * p(grid)).max() == pytest.approx(1 / 3, abs=1e-10)
 
     def test_odd_equals_preceding_even(self):
         p2, p3 = minimax_poly(2), minimax_poly(3)
-        assert np.array_equal(p2.coeffs, p3.coeffs)
+        grid = np.linspace(-1, 1, 1001)
+        assert np.array_equal(p2(grid), p3(grid))
         assert p2.m_star == p3.m_star
 
     def test_scales_with_R(self):
@@ -212,6 +217,22 @@ class TestHardInstance:
         save_instance(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 300),
+        R=st.floats(1e-3, 1e3),
+        D=st.floats(0.0, 1e3),
+        extra=st.integers(0, 5),
+    )
+    def test_roundtrip_export_random(self, tmp_path_factory, k, R, D, extra):
+        inst = build_hard_instance(k, R, D, n=k + 2 + extra)
+        path = tmp_path_factory.mktemp("roundtrip") / "instance.txt"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        assert (loaded.k, loaded.n, loaded.R, loaded.D) == (inst.k, inst.n, R, D)
+        for name in ("diag", "mu", "x_star", "b"):
+            assert np.array_equal(getattr(loaded, name), getattr(inst, name)), name
+
     def test_roundtrip_export_deep(self, tmp_path):
         inst = build_hard_instance(256, R=0.7, D=1.9, n=260)
         path = tmp_path / "deep.txt"
@@ -287,6 +308,15 @@ class TestKrylovOracle:
         with pytest.raises(ContractError):
             krylov_min_residual(np.eye(2), np.ones(2), 0)
 
+    def test_basis_stays_orthonormal_on_ill_conditioned_spectrum(self):
+        # a single Gram-Schmidt pass drifts to ~1e-7 here; the second pass
+        # keeps the columns orthonormal to working precision
+        d = np.logspace(0, -12, 100)
+        b = np.random.default_rng(0).standard_normal(100)
+        Q = _krylov_basis(lambda v: d * v, b, 60)
+        assert Q.shape == (100, 60)
+        assert np.abs(Q.T @ Q - np.eye(60)).max() < 1e-13
+
 
 class TestChebyshevSolver:
     def test_depth_one_returns_zero(self):
@@ -333,7 +363,13 @@ class TestChebyshevSolver:
         B = rng.normal(size=(9, 9))
         B *= R / np.linalg.svd(B, compute_uv=False).max()
         v = rng.normal(size=9)
-        q = -minimax_poly(k, R).coeffs[2::2]  # p(sqrt(s)) = 1 - s q(s)
+        # monomial coefficients of p(t) = ((-1)^m/(2m+1)) (R/t) T_{2m+1}(t/R),
+        # taken from numpy's Chebyshev-to-power conversion
+        m = k // 2
+        t_odd = cheb2poly([0.0] * (2 * m + 1) + [1.0])
+        i = np.arange(1, 2 * m + 2, 2)
+        p_even = (-1) ** m / (2 * m + 1) * t_odd[i] * R ** (1.0 - i)
+        q = -p_even[1:]  # p(sqrt(s)) = 1 - s q(s)
         w = B.T @ v
         ref = np.zeros(9)
         for c in q[::-1]:
@@ -388,25 +424,37 @@ class TestVerifyLowerBound:
         assert report.applicable and report.verdict
         assert report.floor == 0.0
 
-    def test_non_span_trace_flagged_inapplicable(self):
-        inst = build_hard_instance(4)
+    @pytest.mark.parametrize("k", [4, 24, 64])
+    def test_non_span_trace_flagged_inapplicable(self, k):
+        inst = build_hard_instance(k)
         n = inst.n
-        trace = self.run_on_instance(inst, AlgoKind.EG, 2)
-        rogue = trace.iterates[1].copy()
+        trace = self.run_on_instance(inst, AlgoKind.EG, k // 2)
+        assert verify_lower_bound(inst, trace).applicable
+        # EG spends two calls per step: the last iterate uses the whole budget
+        rogue = trace.iterates[-1].copy()
         rogue[2 * n - 1] += 1.0  # outside the reachable span
-        doctored = Trace(
-            kind=trace.kind,
-            problem_name=trace.problem_name,
-            z0=trace.z0,
-            stored_ks=trace.stored_ks,
-            iterates=[trace.iterates[0], rogue, trace.iterates[2]],
-            half_ks=trace.half_ks,
-            half_iterates=trace.half_iterates,
-            grad_sq=trace.grad_sq,
-            oracle_calls=trace.oracle_calls,
-        )
+        doctored = replace(trace, iterates=[*trace.iterates[:-1], rogue])
         report = verify_lower_bound(inst, doctored)
         assert not report.applicable
+
+    def test_iterate_ahead_of_its_budget_flagged_inapplicable(self):
+        # the deepest iterate lies in the depth-k span but not in the span
+        # reachable with the two calls of the first EG step
+        inst = build_hard_instance(24)
+        trace = self.run_on_instance(inst, AlgoKind.EG, 12)
+        early = [trace.iterates[0], trace.iterates[-1], *trace.iterates[2:]]
+        report = verify_lower_bound(inst, replace(trace, iterates=early))
+        assert not report.applicable
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 64), extra=st.integers(0, 8))
+    def test_every_algorithm_respects_floor_at_random_depth(self, k, extra):
+        inst = build_hard_instance(k, n=k + 2 + extra)
+        for kind in AlgoKind:
+            trace = self.run_on_instance(inst, kind, k + 1)
+            report = verify_lower_bound(inst, trace)
+            assert report.applicable and report.verdict, (kind, report.message)
+            assert report.steps and all(s.in_span for s in report.steps)
 
     def test_floor_is_tight_at_design_depth(self):
         # the exact Krylov optimum meets the floor with equality, so no
