@@ -34,6 +34,7 @@ from .algorithms import (
 )
 from .certificates import (
     EagCCertificate,
+    EagCReport,
     IntervalChain,
     LyapunovReport,
     check_eag_c_stepsize,

@@ -32,6 +32,7 @@ __all__ = [
     "IntervalChain",
     "interval_quantities",
     "EagCCertificate",
+    "EagCReport",
     "eag_c_certificate",
     "s_matrix",
     "certificate_null_vector",
@@ -112,8 +113,6 @@ def check_lyapunov_monotone(V: np.ndarray, scale: float) -> LyapunovReport:
 class IntervalChain:
     """The interval [ell, u] for A_k and the ordered comparison quantities."""
 
-    k: int
-    alphaR: float
     ell: float
     upper: float
     mid: float              # alpha (k+1)(k+2) / 2
@@ -122,30 +121,20 @@ class IntervalChain:
     tau2_a: float           # alpha (k+1)(k+1-alpha(k+2)) / (2(1-alpha))
     tau2_b: float           # alpha^2 (k+1)(k+2) / (1+alpha)
     tau1_ceiling: float     # (alpha^2 (k+1)(k+2) + alpha^3 (k+2)^2) / (2(1+alpha))
-    chain_holds: bool
 
 
-def interval_quantities(k: int, alphaR: float) -> IntervalChain:
+def interval_quantities(k, alphaR: float) -> IntervalChain:
     """Evaluate the interval endpoints and the full inequality chain.
 
-    Requires alphaR in (0, 1/2]. Asserts
-    u > mid > ell >= tau1_floor >= tau_cmp >= max(tau2_a, tau2_b) >= tau1_ceiling.
+    Requires alphaR in (0, 1/2] and k >= 0, an int or an int array (each entry
+    bit for bit its scalar value). Raises CertificateError at the first k where
+    u > mid > ell >= tau1_floor >= tau_cmp >= max(tau2_a, tau2_b) >= tau1_ceiling fails.
     """
     a = alphaR
     if not 0 < a <= 0.5:
         raise ContractError(f"alphaR = {a} outside (0, 1/2]")
-    if k < 0:
+    if np.any(np.asarray(k) < 0):
         raise ContractError("k must be >= 0")
-    return IntervalChain(k, a, *_interval_chain(k, a), True)
-
-
-def _interval_chain(k, a: float) -> tuple:
-    """(ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling) at k.
-
-    ``k`` is an int or an int array; the arithmetic is the same either way,
-    so a block of steps gets the per-step values bit for bit. Raises
-    CertificateError at the first k where the comparison chain breaks.
-    """
     ell = a * (k + 2) * (k + 1 + k * a) / (2 * (1 + a))
     upper = a * (k + 2) * (k + 1 - k * a) / (2 * (1 - a))
     mid = a * (k + 1) * (k + 2) / 2
@@ -170,10 +159,10 @@ def _interval_chain(k, a: float) -> tuple:
             f"comparison chain broke at k={k_bad}, alphaR={a}; this contradicts "
             "the interval analysis and indicates float catastrophe"
         )
-    return ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling
+    return IntervalChain(ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling)
 
 
-def _tau_case1(k: int, a: float, A: float) -> float:
+def _tau_case1(k, a: float, A):
     num = (k + 2) ** 2 * (2 * (1 - a) * A - a * (k + 1) * (k + 1 - a * (k + 2)))
     den = 2 * (a * (k + 2) * (k + 1 - k * a) - 2 * (1 - a) * A)
     return num / den
@@ -185,7 +174,7 @@ def _a_next_case1(k: int, a: float, A: float) -> float:
     )
 
 
-def _tau_case2(k: int, a: float, A: float) -> float:
+def _tau_case2(k, a: float, A):
     num = (k + 2) ** 2 * (2 * (1 + a) * A - a * (k + 1) * (k + 1 + a * (k + 2)))
     den = 4 * (1 + a) * A - 2 * a * (k + 2) * (k + 1 + k * a)
     return num / den
@@ -197,11 +186,12 @@ def _a_next_case2(k: int, a: float, A: float) -> float:
     )
 
 
-def s_matrix(k: int, alphaR: float, A_k: float, tau_k: float, A_next: float) -> np.ndarray:
+def s_matrix(k, alphaR: float, A_k, tau_k, A_next) -> np.ndarray:
     """The symmetric 3x3 slack matrix whose PSD-ness certifies one iteration.
 
     Row/column order: coefficients on G(z^k), G(z^{k+1/2}), G(z^{k+1}) in the
     quadratic form lower-bounding V_k - V_{k+1}, with R normalized to 1.
+    Scalars give one matrix; arrays (k an int array) the stack of them, bit for bit.
     """
     a = alphaR
     s11 = A_k - a * a * tau_k
@@ -209,7 +199,8 @@ def s_matrix(k: int, alphaR: float, A_k: float, tau_k: float, A_next: float) -> 
     s22 = tau_k * (1 - a * a)
     s23 = 0.5 * a * (k + 2) ** 2 - tau_k
     s33 = tau_k - A_next
-    return np.array([[s11, s12, 0.0], [s12, s22, s23], [0.0, s23, s33]])
+    S = np.stack(np.broadcast_arrays(s11, s12, 0.0, s12, s22, s23, 0.0, s23, s33), -1)
+    return S.reshape(S.shape[:-1] + (3, 3))
 
 
 def certificate_null_vector(k: int, alphaR: float, A_k: float) -> np.ndarray:
@@ -222,13 +213,15 @@ def certificate_null_vector(k: int, alphaR: float, A_k: float) -> np.ndarray:
 
 
 # steps per batched eigvalsh/det call: batching removes the per-step numpy
-# dispatch; a bounded block keeps the per-step buffers small and each block's
-# S stack under the allocator's mmap threshold, so repeated calls reuse memory
+# dispatch; a bounded block keeps the temporaries, and so peak memory, small
 EAGC_BLOCK = 1024
+CASE_TAGS = ("I_minus", "I_plus")  # a step's case tag, indexed by EagCReport.case2
 
 
 @dataclass(frozen=True)
 class EagCCertificate:
+    """One step of an EagCReport, with its S_k rebuilt by ``s_matrix``."""
+
     k: int
     A_k: float
     tau_k: float
@@ -243,11 +236,49 @@ class EagCCertificate:
     verdict: bool
 
 
-def eag_c_certificate(
-    alphaR: float,
-    K: int,
-    tol_psd: float = 1e-9,
-) -> list[EagCCertificate]:
+@dataclass(frozen=True)
+class EagCReport:
+    """The proof chain for k = 0..K-1 as parallel columns of length K.
+
+    ``A`` has K+1 entries, as A_K closes S_{K-1}; ``case2`` marks the case-2
+    steps. S_k is not stored: ``report[k]`` and ``iter(report)`` rebuild
+    per-step views from the columns, S_k by the same ``s_matrix`` call.
+    """
+
+    alphaR: float
+    A: np.ndarray
+    tau: np.ndarray
+    case2: np.ndarray
+    ell: np.ndarray
+    upper: np.ndarray
+    min_eig: np.ndarray
+    det: np.ndarray
+    scale: np.ndarray
+    verdict: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, k: int) -> EagCCertificate:
+        k = range(len(self))[k]  # IndexError past either end
+        return next(self._views(k, k + 1))
+
+    def __iter__(self):
+        for lo in range(0, len(self), EAGC_BLOCK):
+            yield from self._views(lo, min(lo + EAGC_BLOCK, len(self)))
+
+    def _views(self, lo: int, hi: int):
+        S = s_matrix(np.arange(lo, hi), self.alphaR, self.A[lo:hi], self.tau[lo:hi],
+                     self.A[lo + 1:hi + 1])
+        cols = (self.A, self.tau, self.min_eig, self.det, self.scale, self.case2, self.ell,
+                self.upper, self.verdict)
+        # interval_ok: an A_k outside its interval raised instead
+        for k, S_k, (A_k, tau_k, m, d, sc, c2, ell, u, v) in zip(
+                range(lo, hi), S, zip(*(c[lo:hi].tolist() for c in cols))):
+            yield EagCCertificate(k, A_k, tau_k, S_k, m, d, sc, CASE_TAGS[c2], ell, u, True, v)
+
+
+def eag_c_certificate(alphaR: float, K: int, tol_psd: float = 1e-9) -> EagCReport:
     """Verify the constant-step proof chain numerically for k = 0..K-1.
 
     Starts from A_0 = ell_0 = alpha/(1+alpha), applies the case-1 recursion
@@ -272,30 +303,34 @@ def eag_c_certificate(
             f"alphaR = {a}: at k={k_vac} the interval [ell_k, u_k] is no wider than "
             "twice its membership slack, so the interval check would be vacuous"
         )
-    # the A_k recursion is sequential; the 3x3 checks run a block at a time
-    certs: list[EagCCertificate] = []
-    A = a / (1 + a)
+    A = np.empty(K + 1)
+    case2 = np.empty(K, dtype=bool)
+    tau, ell, upper, min_eig, det, scale = (np.empty(K) for _ in range(6))
+    A[0] = A_k = a / (1 + a)
     for lo in range(0, K, EAGC_BLOCK):
-        ks = range(lo, min(lo + EAGC_BLOCK, K))
-        ell, upper, mid = (q.tolist() for q in _interval_chain(np.array(ks), a)[:3])
-        S = np.empty((len(ks), 3, 3))
-        steps = []  # (A_k, tau_k, case, ell, u) per k of the block
-        for i, k in enumerate(ks):
-            tol_int = 1e-12 * max(1.0, mid[i])
-            if not ell[i] - tol_int <= A <= upper[i] + tol_int:
-                raise CertificateError(
-                    f"A_{k} = {A} left [{ell[i]}, {upper[i]}]; "
-                    "the proof induction is contradicted"
-                )
-            if A <= mid[i]:
-                case, tau, A_next = "I_minus", _tau_case1(k, a, A), _a_next_case1(k, a, A)
-            else:
-                case, tau, A_next = "I_plus", _tau_case2(k, a, A), _a_next_case2(k, a, A)
-            S[i] = s_matrix(k, a, A, tau, A_next)
-            steps.append((A, tau, case, ell[i], upper[i]))
-            A = A_next
-        certs += _check_block(S, lo, steps, tol_psd)
-    return certs
+        sl = slice(lo, min(lo + EAGC_BLOCK, K))
+        ks = np.arange(sl.start, sl.stop)
+        chain = interval_quantities(ks, a)
+        ell[sl], upper[sl] = chain.ell, chain.upper
+        # only the A_k recursion is sequential
+        for k, ell_k, u_k, mid in zip(ks.tolist(), chain.ell.tolist(),
+                                      chain.upper.tolist(), chain.mid.tolist()):
+            tol_int = 1e-12 * max(1.0, mid)
+            if not ell_k - tol_int <= A_k <= u_k + tol_int:
+                raise CertificateError(f"A_{k} = {A_k} left [{ell_k}, {u_k}]; "
+                                       "the proof induction is contradicted")
+            c2 = case2[k] = not A_k <= mid
+            A_k = _a_next_case2(k, a, A_k) if c2 else _a_next_case1(k, a, A_k)
+            A[k + 1] = A_k
+        # tau by case mask: case 2's formula divides by zero at A_k = ell_k
+        for on, tau_case in ((~case2[sl], _tau_case1), (case2[sl], _tau_case2)):
+            tau[sl][on] = tau_case(ks[on], a, A[sl][on])
+        S = s_matrix(ks, a, A[sl], tau[sl], A[sl.start + 1:sl.stop + 1])
+        min_eig[sl] = np.linalg.eigvalsh(S)[:, 0]
+        det[sl] = np.linalg.det(S)
+        scale[sl] = np.abs(S).max(axis=(1, 2))
+    return EagCReport(a, A, tau, case2, ell, upper, min_eig, det, scale,
+                      min_eig >= -tol_psd * scale)
 
 
 def _first_vacuous_k(a: float) -> int:
@@ -309,36 +344,3 @@ def _first_vacuous_k(a: float) -> int:
     if not 2 * a * a / (1 - a * a) > 2e-12 * max(1.0, a):
         return 0
     return math.ceil(a / (1e-12 * (1 - a * a))) - 1
-
-
-def _check_block(
-    S: np.ndarray, lo: int, steps: list[tuple], tol_psd: float
-) -> list[EagCCertificate]:
-    """Certificates for k = lo.. from the block's stacked S, one eigvalsh and det call."""
-    min_eig = np.linalg.eigvalsh(S)[:, 0]
-    scale = np.abs(S).max(axis=(1, 2))
-    verdict = min_eig >= -tol_psd * scale
-    return [
-        EagCCertificate(
-            k=k,
-            A_k=A_k,
-            tau_k=tau_k,
-            S=S[k - lo],
-            min_eig=m,
-            det=d,
-            scale=sc,
-            case_tag=case,
-            ell=ell,
-            upper=upper,
-            interval_ok=True,  # an A_k outside its interval raised in the loop
-            verdict=v,
-        )
-        for k, (A_k, tau_k, case, ell, upper), m, d, sc, v in zip(
-            range(lo, lo + len(S)),
-            steps,
-            min_eig.tolist(),
-            np.linalg.det(S).tolist(),
-            scale.tolist(),
-            verdict.tolist(),
-        )
-    ]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 certificate or bound failure, 2 usage error,
 3 numerical abort; ``main`` maps ContractError, CertificateError and
-NumericalDivergenceError to 2, 1 and 3 for every subcommand. All data output is RFC-4180 CSV with '.' decimals and 17
-significant digits; identical command lines produce byte-identical files.
+NumericalDivergenceError to 2, 1 and 3 for every subcommand. All data output
+is RFC-4180 CSV with '.' decimals and 17 significant digits; identical command
+lines produce byte-identical files at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .algorithms import AlgoConfig, AlgoKind, eag_v_alpha_limit, run, theoretical_bound
 from .certificates import (
+    CASE_TAGS,
     check_eag_c_stepsize,
     check_lyapunov_monotone,
     eag_c_certificate,
@@ -180,37 +182,30 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if args.kind == "eagc":
-        certs = eag_c_certificate(args.alphaR, args.k)
-        ok = all(c.verdict for c in certs)
-        worst_eig = min(c.min_eig / max(c.scale, 1e-300) for c in certs)
+        rep = eag_c_certificate(args.alphaR, args.k)
+        ok = bool(rep.verdict.all())
+        worst_eig = np.min(rep.min_eig / np.maximum(rep.scale, 1e-300))
         print(
             f"eagc alphaR={_fmt(args.alphaR)} k<={args.k}: "
             f"{'PASS' if ok else 'FAIL'} worst_rel_min_eig={worst_eig:.3e}"
         )
         if args.out:
-
             def block(sl: slice) -> list:
-                cs = certs[sl]
                 return [
-                    [str(c.k) for c in cs],
-                    [_fmt(c.A_k) for c in cs],
-                    [_fmt(c.tau_k) for c in cs],
-                    [_fmt(c.min_eig) for c in cs],
-                    [_fmt(c.det) for c in cs],
-                    [c.case_tag for c in cs],
-                    [_fmt(c.ell) for c in cs],
-                    [_fmt(c.upper) for c in cs],
-                    [str(int(c.verdict)) for c in cs],
+                    map(str, range(len(rep))[sl]),
+                    *(_fmt_col(c[sl]) for c in (rep.A[:-1], rep.tau, rep.min_eig, rep.det)),
+                    map(CASE_TAGS.__getitem__, rep.case2[sl].tolist()),
+                    *(_fmt_col(c[sl]) for c in (rep.ell, rep.upper)),
+                    map(str, rep.verdict[sl].astype(int).tolist()),
                 ]
 
             _emit_csv(
                 args.out,
                 ["k", "A_k", "tau_k", "min_eig", "det", "case", "ell", "u", "verdict"],
-                _blocks(len(certs), block),
+                _blocks(len(rep), block),
             )
         if not ok:
-            first = next(c for c in certs if not c.verdict)
-            print(f"first failure at k={first.k}", file=sys.stderr)
+            print(f"first failure at k={np.argmin(rep.verdict)}", file=sys.stderr)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     # lyapunov
@@ -367,19 +362,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             parser.error(
                 f"config file {path}: unknown key {key!r} for subcommand {argv[0]!r}"
             )
-        if action.const in (True, False):  # store_true / store_false flags
-            parsed = val.lower() in ("1", "true", "yes")
-        else:
-            # set_defaults bypasses argparse's own type and choices checks
-            try:
+        # set_defaults bypasses argparse's own type and choices checks
+        try:
+            if action.const in (True, False):  # store_true / store_false flags
+                parsed = {"1": True, "true": True, "yes": True,
+                          "0": False, "false": False, "no": False}[val.lower()]
+            else:
                 parsed = val if action.type is None else action.type(val)
-            except ValueError:
-                parser.error(f"config file {path}: invalid value {val!r} for key {key!r}")
-            if action.choices is not None and parsed not in action.choices:
-                parser.error(
-                    f"config file {path}: invalid choice {val!r} for key {key!r} "
-                    f"(choose from {', '.join(map(str, action.choices))})"
-                )
+        except (KeyError, ValueError):
+            parser.error(f"config file {path}: invalid value {val!r} for key {key!r}")
+        if action.choices is not None and parsed not in action.choices:
+            parser.error(
+                f"config file {path}: invalid choice {val!r} for key {key!r} "
+                f"(choose from {', '.join(map(str, action.choices))})"
+            )
         subparser.set_defaults(**{action.dest: parsed})
     return argv
 

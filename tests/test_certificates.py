@@ -11,6 +11,7 @@ from anchored_minimax import (
     CertificateError,
     ContractError,
     EagCCertificate,
+    IntervalChain,
     Trace,
     check_eag_c_stepsize,
     check_lyapunov_monotone,
@@ -28,7 +29,6 @@ from anchored_minimax.certificates import (
     EAGC_BLOCK,
     _a_next_case1,
     _a_next_case2,
-    _interval_chain,
     _tau_case1,
     _tau_case2,
     certificate_null_vector,
@@ -94,15 +94,15 @@ def assert_same_certificates(got, want):
 
 
 def indefinite_at(j, monkeypatch):
-    """Make S_j indefinite (a negative diagonal entry) inside eag_c_certificate."""
+    """Make S_j indefinite (a negative diagonal entry) in every S stack built."""
     import anchored_minimax.certificates as certs_mod
 
     original = certs_mod.s_matrix
 
     def doctored(k, alphaR, A_k, tau_k, A_next):
         S = original(k, alphaR, A_k, tau_k, A_next)
-        if k == j:
-            S[0, 0] = -np.abs(S).max()
+        for i in np.flatnonzero(k == j):
+            S[i, 0, 0] = -np.abs(S[i]).max()
         return S
 
     monkeypatch.setattr(certs_mod, "s_matrix", doctored)
@@ -313,40 +313,40 @@ class TestIntervalQuantities:
         chain = interval_quantities(0, 0.125)
         assert chain.ell == pytest.approx(1.0 / 9.0, rel=1e-15)
         assert chain.upper == pytest.approx(1.0 / 7.0, rel=1e-15)
-        assert chain.chain_holds
 
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.125, 0.5])
     def test_chain_holds_up_to_thousand(self, alpha):
         for k in range(1001):
-            assert interval_quantities(k, alpha).chain_holds
+            interval_quantities(k, alpha)  # raises where the chain breaks
 
     def test_vanishing_alpha_keeps_ordering(self):
         chain = interval_quantities(5, 1e-8)
-        assert chain.chain_holds
         assert chain.upper < 1e-6
 
     @pytest.mark.parametrize("alpha", [1e-8, 0.05, 0.125, 0.5])
     def test_block_matches_scalar_bitwise(self, alpha):
-        ks = np.arange(3000)
-        block = _interval_chain(ks, alpha)
+        names = [f.name for f in dataclasses.fields(IntervalChain)]
+        block = interval_quantities(np.arange(3000), alpha)
         for k in range(0, 3000, 7):
-            c = interval_quantities(int(k), alpha)
-            scalar = (c.ell, c.upper, c.mid, c.tau1_floor, c.tau_cmp,
-                      c.tau2_a, c.tau2_b, c.tau1_ceiling)
-            assert [float(q[k]).hex() for q in block] == [x.hex() for x in scalar]
+            scalar = interval_quantities(k, alpha)
+            assert [float(getattr(block, n)[k]).hex() for n in names] == [
+                getattr(scalar, n).hex() for n in names
+            ]
 
     def test_chain_break_names_first_failing_step(self):
         # at alphaR = 1e-8 the chain's float margins vanish by k ~ 1e8
         with pytest.raises(CertificateError, match="k=123456789,"):
             interval_quantities(123456789, 1e-8)
         with pytest.raises(CertificateError, match="k=123456789,"):
-            _interval_chain(np.array([5, 123456789, 123456790]), 1e-8)
+            interval_quantities(np.array([5, 123456789, 123456790]), 1e-8)
 
     def test_domain_error(self):
         with pytest.raises(ContractError):
             interval_quantities(3, 0.51)
         with pytest.raises(ContractError):
             interval_quantities(3, 0.0)
+        with pytest.raises(ContractError):
+            interval_quantities(np.array([3, -1]), 0.125)
 
 
 class TestEagCCertificate:
@@ -368,7 +368,7 @@ class TestEagCCertificate:
 
     def test_null_vector_annihilates_case1_matrix(self):
         certs = eag_c_certificate(0.1, 200)
-        for c in certs[::10]:
+        for c in map(certs.__getitem__, range(0, 200, 10)):
             v = certificate_null_vector(c.k, 0.1, c.A_k)
             S = c.S
             resid = np.linalg.norm(S @ v)
@@ -405,6 +405,34 @@ class TestEagCCertificate:
     )
     def test_matches_per_step_reference_bitwise(self, alphaR, K):
         assert_same_certificates(eag_c_certificate(alphaR, K), eag_c_reference(alphaR, K))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphaR=st.floats(0.0, 0.125, exclude_min=True),
+        rows=st.lists(
+            st.tuples(st.integers(0, 10**7),
+                      *[st.floats(0.0, 1e300, exclude_min=True)] * 3),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_s_matrix_stack_matches_scalar_calls_bitwise(self, alphaR, rows):
+        # rows of (k, A_k, tau_k, A_next)
+        k, A, tau, A_next = map(np.array, zip(*rows))
+        stack = s_matrix(k, alphaR, A, tau, A_next)
+        scalar = np.stack([s_matrix(r[0], alphaR, *r[1:]) for r in rows])
+        assert stack.shape == (len(rows), 3, 3)
+        assert stack.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("K", [1, EAGC_BLOCK + 1])
+    def test_report_length_and_indexing(self, K):
+        report = eag_c_certificate(0.125, K)
+        assert len(report) == K and len(report.A) == K + 1
+        assert_same_certificates([report[-1]], [report[K - 1]])
+        assert_same_certificates([report[0]], [next(iter(report))])
+        with pytest.raises(IndexError):
+            report[K]
+        with pytest.raises(IndexError):
+            report[-K - 1]
 
     @pytest.mark.parametrize("j", [0, 37, EAGC_BLOCK - 1, EAGC_BLOCK, 2099])
     def test_indefinite_slack_matrix_fails_exactly_there(self, j, monkeypatch):

@@ -18,7 +18,10 @@ from anchored_minimax import (
     make_bilinear,
     theoretical_bound,
 )
+from anchored_minimax.certificates import EAGC_BLOCK
 from anchored_minimax.cli import main
+
+from test_certificates import eag_c_reference
 
 KINDS = [k.value for k in AlgoKind]
 
@@ -252,6 +255,30 @@ class TestRunCommand:
         _, rows = read_csv(out2)
         assert len(rows) == 4  # explicit flag beat the config value
 
+    @pytest.mark.parametrize(
+        "line, dense, bound",
+        [("dense=no", False, True), ("dense=No", False, True), ("dense=1", True, True),
+         ("bound=false", False, False), ("bound=YES", False, True)],
+    )
+    def test_config_file_flag_values(self, line, dense, bound, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"problem=bilinear-unit\nalgo=eg\nalpha=0.1\niters=12000\n{line}\n")
+        out = tmp_path / "run.csv"
+        code, _, _ = invoke(["run", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0
+        header, got = read_csv(out)
+        assert (len(got) == 12001) == dense  # above 10^4 iterations, thinned
+        assert ("bound" in header) == bound
+
+    @pytest.mark.parametrize("line", ["dense=maybe", "bound=", "dense=on"])
+    def test_config_file_bad_flag_value_exit_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"problem=bilinear-unit\nalgo=eg\nalpha=0.1\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid value" in capsys.readouterr().err
+
     def test_config_file_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("problem=bilinear-unit\nalgo=eg\nalpha=0.1\nitres=5\n")
@@ -368,6 +395,23 @@ class TestCertifyCommand:
         assert header[0] == "k" and len(rows) == 200
         assert all(r[-1] == "1" for r in rows)
 
+    @pytest.mark.parametrize(
+        "alphaR, K", [(0.125, 1), (0.125, EAGC_BLOCK + 1), (0.05, 3000)]
+    )
+    def test_eagc_table_matches_per_step_reference(self, alphaR, K, tmp_path, capsys):
+        out = tmp_path / "eagc.csv"
+        code, _, _ = invoke(
+            ["certify", "eagc", "--alphaR", str(alphaR), "--k", str(K), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        fmt = "{:.17g}".format
+        rows = [["k", "A_k", "tau_k", "min_eig", "det", "case", "ell", "u", "verdict"]]
+        for c in eag_c_reference(alphaR, K):
+            rows.append([str(c.k), *map(fmt, (c.A_k, c.tau_k, c.min_eig, c.det)),
+                         c.case_tag, fmt(c.ell), fmt(c.upper), str(int(c.verdict))])
+        assert out.read_bytes() == "".join(",".join(r) + "\r\n" for r in rows).encode()
+
     def test_eagc_reports_first_failing_step(self, capsys, monkeypatch):
         import anchored_minimax.certificates as certs_mod
 
@@ -375,8 +419,8 @@ class TestCertifyCommand:
 
         def indefinite_at_37(k, alphaR, A_k, tau_k, A_next):
             S = original(k, alphaR, A_k, tau_k, A_next)
-            if k == 37:
-                S[0, 0] = -np.abs(S).max()
+            for i in np.flatnonzero(k == 37):
+                S[i, 0, 0] = -np.abs(S[i]).max()
             return S
 
         monkeypatch.setattr(certs_mod, "s_matrix", indefinite_at_37)
