@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -108,8 +109,10 @@ class Trace:
     Anchored runs also record ``alphas`` and ``anchor_inner[k] =
     <G(z^k), z^k - z0>``, both dense, from the same G the step uses.
     Iterates are kept at ``stored_ks = store_plan(iters, dense)``, the rows
-    the CLI emits. Half-iterates are not stored; ``half_ks`` and
-    ``half_iterates`` stay empty, kept only for the benchmark's size count.
+    the CLI emits, unless the run passed them to a ``keep`` callback, which
+    leaves ``iterates`` empty and makes ``iterate`` raise. Half-iterates are
+    not stored; ``half_ks`` and ``half_iterates`` stay empty, kept only for
+    the benchmark's size count.
     """
 
     kind: AlgoKind
@@ -135,6 +138,11 @@ class Trace:
         return len(self.stored_ks) == self.iters + 1
 
     def iterate(self, k: int) -> np.ndarray:
+        if not self.iterates:
+            raise ContractError(
+                f"this trace kept no iterates, so not iterate {k}: "
+                "its run passed them to keep"
+            )
         idx = np.searchsorted(self.stored_ks, k)
         if idx >= len(self.stored_ks) or self.stored_ks[idx] != k:
             raise ContractError(f"iterate {k} was thinned out of this trace")
@@ -244,6 +252,7 @@ def run(
     z0: Point,
     counter: OracleCounter | None = None,
     dense: bool = False,
+    keep: Callable[[np.ndarray], None] | None = None,
 ) -> Trace:
     """Run an algorithm for config.iters iterations and record a Trace.
 
@@ -253,6 +262,11 @@ def run(
     non-finite. For the varying-step method, alpha_k * R < 1 is asserted
     every iteration; anchored methods record alphas and anchor_inner
     (length iters + 1).
+
+    The iterates at ``store_plan(iters, dense)`` go to ``Trace.iterates``, or,
+    if ``keep`` is given, each to ``keep(z)`` in that order, leaving
+    ``Trace.iterates`` empty. ``z`` is a fresh array that the run never
+    writes again, so ``keep`` may hold it or read it and let it go.
     """
     if z0.dim != problem.dim or z0.split != problem.dim_x:
         raise ContractError("z0 does not match problem dimensions")
@@ -272,6 +286,7 @@ def run(
     grad_sq = np.empty(K + 1)
     oracle_calls = e0 + cost * np.arange(K + 1, dtype=np.int64)
     iterates: list[np.ndarray] = []
+    keep = iterates.append if keep is None else keep
     alphas = np.empty(K + 1) if anchored else None
     anchor_inner = np.empty(K + 1) if anchored else None
 
@@ -294,7 +309,7 @@ def run(
                         f"{kind.value} produced a non-finite iterate at iteration {k}"
                     )
                 if store is None or k in store:
-                    iterates.append(z)  # every z is a fresh array, never written
+                    keep(z)  # every z is a fresh array, never written
                 g = np.asarray(op(z), dtype=float)
                 grad_sq[k] = g.dot(g)
                 if anchored:

@@ -123,6 +123,17 @@ class IntervalChain:
     tau1_ceiling: float     # (alpha^2 (k+1)(k+2) + alpha^3 (k+2)^2) / (2(1+alpha))
 
 
+def _float_k(k):
+    """A numpy int k (array or scalar) as float64; a Python int unchanged.
+
+    int64 overflows in (k + 2) ** 2 above about 3e9, where Python ints are
+    exact. float64 holds every k below 2^53 exactly, and each float product
+    then rounds as the scalar call's int-to-float conversion does, so array
+    and scalar calls agree bit for bit.
+    """
+    return k.astype(float) if isinstance(k, (np.ndarray, np.integer)) else k
+
+
 def interval_quantities(k, alphaR: float) -> IntervalChain:
     """Evaluate the interval endpoints and the full inequality chain.
 
@@ -135,6 +146,7 @@ def interval_quantities(k, alphaR: float) -> IntervalChain:
         raise ContractError(f"alphaR = {a} outside (0, 1/2]")
     if np.any(np.asarray(k) < 0):
         raise ContractError("k must be >= 0")
+    k = _float_k(k)
     ell = a * (k + 2) * (k + 1 + k * a) / (2 * (1 + a))
     upper = a * (k + 2) * (k + 1 - k * a) / (2 * (1 - a))
     mid = a * (k + 1) * (k + 2) / 2
@@ -154,7 +166,7 @@ def interval_quantities(k, alphaR: float) -> IntervalChain:
         & (tau2 >= tau1_ceiling - eps)
     )
     if not np.all(ok):
-        k_bad = np.ravel(k)[np.argmin(np.ravel(ok))]
+        k_bad = int(np.ravel(k)[np.argmin(np.ravel(ok))])
         raise CertificateError(
             f"comparison chain broke at k={k_bad}, alphaR={a}; this contradicts "
             "the interval analysis and indicates float catastrophe"
@@ -163,6 +175,7 @@ def interval_quantities(k, alphaR: float) -> IntervalChain:
 
 
 def _tau_case1(k, a: float, A):
+    k = _float_k(k)
     num = (k + 2) ** 2 * (2 * (1 - a) * A - a * (k + 1) * (k + 1 - a * (k + 2)))
     den = 2 * (a * (k + 2) * (k + 1 - k * a) - 2 * (1 - a) * A)
     return num / den
@@ -175,6 +188,7 @@ def _a_next_case1(k: int, a: float, A: float) -> float:
 
 
 def _tau_case2(k, a: float, A):
+    k = _float_k(k)
     num = (k + 2) ** 2 * (2 * (1 + a) * A - a * (k + 1) * (k + 1 + a * (k + 2)))
     den = 4 * (1 + a) * A - 2 * a * (k + 2) * (k + 1 + k * a)
     return num / den
@@ -193,7 +207,7 @@ def s_matrix(k, alphaR: float, A_k, tau_k, A_next) -> np.ndarray:
     quadratic form lower-bounding V_k - V_{k+1}, with R normalized to 1.
     Scalars give one matrix; arrays (k an int array) the stack of them, bit for bit.
     """
-    a = alphaR
+    a, k = alphaR, _float_k(k)
     s11 = A_k - a * a * tau_k
     s12 = a * a * tau_k - 0.5 * a * (k + 1) * (k + 2)
     s22 = tau_k * (1 - a * a)

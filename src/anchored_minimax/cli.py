@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -47,8 +46,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# rows formatted and written per block; bounds the block's copies (stacked
-# iterates, strings), so memory does not grow with the number of rows
+# rows formatted and written, and iterates folded into distances, per block;
+# bounds the block's copies (iterates, strings), so memory does not grow with
+# the number of rows
 EMIT_BLOCK = 512
 
 _fmt = "{:.17g}".format
@@ -80,11 +80,41 @@ def _emit_csv(path: str | None, header: list[str], blocks) -> None:
             out.close()
 
 
-def _dist_to_saddle_sq(trace, zs: np.ndarray):
-    """Yield ||z^k - z*||^2 for each stored k, computed a block at a time."""
-    for lo in range(0, len(trace.iterates), EMIT_BLOCK):
-        Z = np.stack(trace.iterates[lo:lo + EMIT_BLOCK])
-        yield from np.sum((Z - zs) ** 2, axis=1).tolist()
+def _drop(z: np.ndarray) -> None:
+    """A ``keep`` for ``run`` that holds no iterate."""
+
+
+def _saddle_distances(zs: np.ndarray | None):
+    """(keep, distances): ``run`` passes ``keep`` each stored z^k, and
+    ``distances()`` afterwards returns ||z^k - z*||^2 in stored order.
+
+    Each z is copied into one (EMIT_BLOCK, dim) buffer and every full buffer
+    is folded into its distances, so no iterate outlives its block. With no
+    saddle point ``keep`` drops z and ``distances()`` is None.
+    """
+    if zs is None:
+        return _drop, lambda: None
+    buf = np.empty((EMIT_BLOCK, len(zs)))
+    parts: list[np.ndarray] = []
+    n = 0
+
+    def fold() -> None:
+        nonlocal n
+        parts.append(np.sum((buf[:n] - zs) ** 2, axis=1))
+        n = 0
+
+    def keep(z: np.ndarray) -> None:
+        nonlocal n
+        buf[n] = z
+        n += 1
+        if n == EMIT_BLOCK:
+            fold()
+
+    def distances() -> np.ndarray:
+        fold()  # the last, partial block
+        return np.concatenate(parts)
+
+    return keep, distances
 
 
 def _resolve_problem(name: str, seed: int):
@@ -121,10 +151,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         simgd_p=args.simgd_p,
         simgd_gamma=args.simgd_gamma,
     )
-    trace = run(problem, config, z0, dense=args.dense)
+    zs = problem.saddle_point.coords if problem.saddle_point is not None else None
+    keep, distances = _saddle_distances(zs)
+    trace = run(problem, config, z0, dense=args.dense, keep=keep)
+    dists = distances()
 
     R = problem.lipschitz
-    zs = problem.saddle_point.coords if problem.saddle_point is not None else None
     D = float(np.linalg.norm(z0.coords - zs)) if zs is not None else None
     # no theorem, no bound column: the anchored rates are proved for
     # delta = 2, EAG-C's under its step-size conditions, EG's for alpha R < 1
@@ -151,8 +183,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if zs is not None:
         header.append("dist_to_saddle_sq")
 
-    dists = _dist_to_saddle_sq(trace, zs) if zs is not None else None
-
     def block(sl: slice) -> list:
         ks = trace.stored_ks[sl]
         columns = [map(str, ks.tolist()), _fmt_col(trace.grad_sq[ks])]
@@ -164,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             columns.append(_fmt_col(trace.alphas[ks]))
         columns.append(map(str, trace.oracle_calls[ks].tolist()))
         if dists is not None:
-            columns.append(map(_fmt, islice(dists, len(ks))))
+            columns.append(_fmt_col(dists[sl]))
         return columns
 
     _emit_csv(args.out, header, _blocks(len(trace.stored_ks), block))
@@ -216,7 +246,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         iters=args.iters,
         anchor_delta=args.anchor_delta,
     )
-    trace = run(problem, config, z0)
+    trace = run(problem, config, z0, keep=_drop)  # V reads no iterate
     V = lyapunov_sequence(trace, problem)
     R = problem.lipschitz
     if problem.saddle_point is not None:

@@ -360,12 +360,17 @@ def verify_lower_bound(
     and that both blocks of z^j - z0 lie in the order-(e_j - 1) Krylov space
     of (A, b) up to a projection residual of span_tol * ||block||.  Iterates
     beyond the design depth carry no guarantee and are skipped.  A trace that
-    leaves the Krylov span is reported inapplicable rather than failed.
+    leaves the Krylov span is reported inapplicable rather than failed; one
+    whose run passed its iterates to ``keep`` raises ContractError.
 
     The per-depth curve R^2 D_z^2/(2 floor(e_j/2)+1)^2 is reported for
     information only: the depth-k instance does not (and can not) enforce it
     at intermediate depths.
     """
+    if not trace.iterates:
+        raise ContractError(
+            "this trace kept no iterates to check: its run passed them to keep"
+        )
     k = instance.k if k is None else k
     zs = instance.saddle.saddle_point.coords
     z0 = trace.z0

@@ -527,6 +527,29 @@ class TestRun:
             with pytest.raises(ContractError):
                 trace.iterate(k)
 
+    @pytest.mark.parametrize("iters", [1500, 12_000], ids=["dense", "thinned"])
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    def test_keep_receives_the_stored_iterates_in_order(self, kind, iters):
+        p, z0 = load_preset("huber-default")
+        config = AlgoConfig(kind, 0.1, iters)
+        want = run(p, config, z0)
+        kept = []
+        trace = run(p, config, z0, keep=lambda z: kept.append(z.tobytes()))
+        assert trace.iterates == []
+        assert kept == [z.tobytes() for z in want.iterates]
+        assert trace.stored_ks.tolist() == want.stored_ks.tolist()
+        assert trace.is_dense == (iters == 1500)
+        for x, y in ((trace.grad_sq, want.grad_sq), (trace.oracle_calls, want.oracle_calls),
+                     (trace.alphas, want.alphas), (trace.anchor_inner, want.anchor_inner)):
+            assert (x is None) == (y is None)
+            assert x is None or x.tobytes() == y.tobytes()
+
+    def test_trace_without_iterates_refuses_iterate(self, bilinear):
+        trace = run(bilinear, AlgoConfig(AlgoKind.EG, 0.1, 5), bilinear.point([1, 0]),
+                    keep=lambda z: None)
+        with pytest.raises(ContractError, match="this trace kept no iterates"):
+            trace.iterate(0)
+
     def test_store_plan(self):
         assert store_plan(10_000, dense=False).tolist() == list(range(10_001))
         assert store_plan(20, dense=True).tolist() == list(range(21))

@@ -333,6 +333,27 @@ class TestIntervalQuantities:
                 getattr(scalar, n).hex() for n in names
             ]
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.125, 0.5])
+    def test_block_matches_scalar_bitwise_where_int64_squares_overflow(self, alpha):
+        # int64 overflows in (k + 2) ** 2 above about 3.04e9; Python ints do not
+        ks = [3 * 10**9, 4 * 10**9, 10**12]
+        names = [f.name for f in dataclasses.fields(IntervalChain)]
+        block = interval_quantities(np.array(ks), alpha)
+        for i, k in enumerate(ks):
+            scalar = interval_quantities(k, alpha)
+            assert [float(getattr(block, n)[i]).hex() for n in names] == [
+                getattr(scalar, n).hex() for n in names
+            ]
+            lower = 0.5 * (scalar.ell + scalar.mid)
+            upper = 0.5 * (scalar.mid + scalar.upper)
+            for tau_case, A in ((_tau_case1, lower), (_tau_case2, upper)):
+                tau = tau_case(k, alpha, A)
+                tau_block = tau_case(np.array([k]), alpha, np.array([A]))
+                assert float(tau_block[0]).hex() == tau.hex()
+                S = s_matrix(np.array([k]), alpha, np.array([A]), np.array([tau]),
+                             np.array([upper]))
+                assert S[0].tobytes() == s_matrix(k, alpha, A, tau, upper).tobytes()
+
     def test_chain_break_names_first_failing_step(self):
         # at alphaR = 1e-8 the chain's float margins vanish by k ~ 1e8
         with pytest.raises(CertificateError, match="k=123456789,"):
@@ -410,7 +431,7 @@ class TestEagCCertificate:
     @given(
         alphaR=st.floats(0.0, 0.125, exclude_min=True),
         rows=st.lists(
-            st.tuples(st.integers(0, 10**7),
+            st.tuples(st.integers(0, 10**12),
                       *[st.floats(0.0, 1e300, exclude_min=True)] * 3),
             min_size=1, max_size=40,
         ),

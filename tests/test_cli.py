@@ -16,6 +16,7 @@ from anchored_minimax import (
     cli,
     eag_v_alpha_limit,
     make_bilinear,
+    run,
     theoretical_bound,
 )
 from anchored_minimax.certificates import EAGC_BLOCK
@@ -53,7 +54,8 @@ def with_unknown_saddle(monkeypatch):
 
 def run_csv_reference(trace, problem, config, z0, bound=True):
     """The CSV of `run` emitted row by row through csv.writer, as it was
-    before the columnar writer: one scalar theoretical_bound call per row."""
+    before the columnar writer: one scalar theoretical_bound call per row,
+    and one distance per row from a second run that keeps its iterates."""
     kind, alpha, R = config.kind, config.alpha0, problem.lipschitz
     zs = problem.saddle_point.coords if problem.saddle_point is not None else None
     D = float(np.linalg.norm(z0.coords - zs)) if zs is not None else None
@@ -73,7 +75,9 @@ def run_csv_reference(trace, problem, config, z0, bound=True):
     header += ["alpha_k"] if with_alpha else []
     header += ["oracle_calls"]
     header += ["dist_to_saddle_sq"] if zs is not None else []
-    dists = cli._dist_to_saddle_sq(trace, zs) if zs is not None else None
+    if zs is not None:
+        kept = run(problem, config, z0, dense=trace.is_dense)
+        dists = (float(np.sum((kept.iterate(k) - zs) ** 2)) for k in trace.stored_ks)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(header)
@@ -85,10 +89,27 @@ def run_csv_reference(trace, problem, config, z0, bound=True):
         if with_alpha:
             row.append(f"{trace.alphas[k]:.17g}")
         row.append(str(int(trace.oracle_calls[k])))
-        if dists is not None:
+        if zs is not None:
             row.append(f"{next(dists):.17g}")
         w.writerow(row)
     return buf.getvalue().encode()
+
+
+def run_with_reference(argv, out, capsys, monkeypatch):
+    """Run `run` with ``argv`` into ``out``; return its trace and the reference CSV."""
+    seen = {}
+    real_run = cli.run
+
+    def recording_run(problem, config, z0, **kwargs):
+        seen.update(problem=problem, config=config, z0=z0)
+        seen["trace"] = real_run(problem, config, z0, **kwargs)
+        return seen["trace"]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # EAG-C at 0.1265
+        assert invoke(["run", *argv, "--out", str(out)], capsys)[0] == 0
+        return seen["trace"], run_csv_reference(**seen, bound="--no-bound" not in argv)
 
 
 class TestRunCommand:
@@ -302,16 +323,11 @@ class TestRunCommand:
     def test_distance_column_matches_per_row_reference(
         self, argv, tmp_path, capsys, monkeypatch
     ):
-        def per_row(trace, zs):
-            for k in trace.stored_ks.tolist():
-                yield float(np.sum((trace.iterate(k) - zs) ** 2))
-
         with_unknown_saddle(monkeypatch)
-        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        assert invoke(["run", *argv, "--out", str(new)], capsys)[0] == 0
-        monkeypatch.setattr(cli, "_dist_to_saddle_sq", per_row)
-        assert invoke(["run", *argv, "--out", str(ref)], capsys)[0] == 0
-        assert new.read_bytes() == ref.read_bytes()
+        new = tmp_path / "new.csv"
+        trace, ref = run_with_reference(argv, new, capsys, monkeypatch)
+        assert trace.iterates == []  # the distances were folded during the run
+        assert new.read_bytes() == ref
         header, rows = read_csv(new)
         assert ("dist_to_saddle_sq" in header) == (argv[1] != "no-saddle")
         assert len(rows) > cli.EMIT_BLOCK
@@ -338,22 +354,10 @@ class TestRunCommand:
         self, argv, tmp_path, capsys, monkeypatch
     ):
         with_unknown_saddle(monkeypatch)
-        seen = {}
-        real_run = cli.run
-
-        def recording_run(problem, config, z0, **kwargs):
-            seen.update(problem=problem, config=config, z0=z0)
-            seen["trace"] = real_run(problem, config, z0, **kwargs)
-            return seen["trace"]
-
-        monkeypatch.setattr(cli, "run", recording_run)
         out = tmp_path / "run.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # EAG-C at 0.1265
-            assert invoke(["run", *argv, "--out", str(out)], capsys)[0] == 0
-        want = run_csv_reference(**seen, bound="--no-bound" not in argv)
+        trace, want = run_with_reference(argv, out, capsys, monkeypatch)
         assert out.read_bytes() == want
-        assert len(seen["trace"].stored_ks) > cli.EMIT_BLOCK
+        assert len(trace.stored_ks) > cli.EMIT_BLOCK
 
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ANCHORED_MINIMAX_SEED", "3")
@@ -460,6 +464,29 @@ class TestCertifyCommand:
             capsys,
         )
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("iters", ["300", "20000"], ids=["dense", "thinned"])
+    def test_lyapunov_run_keeps_no_iterates(self, iters, tmp_path, capsys, monkeypatch):
+        # V reads grad_sq, alphas and anchor_inner only: the same output from
+        # a run that keeps every stored iterate
+        real_run, traces = cli.run, []
+
+        def recording_run(*args, **kwargs):
+            traces.append(real_run(*args, **kwargs))
+            return traces[-1]
+
+        def keeping_run(*args, keep, **kwargs):
+            return recording_run(*args, **kwargs)
+
+        argv = ["certify", "lyapunov", "--problem", "bilinear-unit", "--iters", iters]
+        monkeypatch.setattr(cli, "run", recording_run)
+        got = invoke(argv + ["--out", str(tmp_path / "a.csv")], capsys)
+        monkeypatch.setattr(cli, "run", keeping_run)
+        want = invoke(argv + ["--out", str(tmp_path / "b.csv")], capsys)
+        assert got == want and got[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert traces[0].iterates == []
+        assert len(traces[1].iterates) == len(traces[1].stored_ks)
 
 
 class TestLowerboundCommand:
@@ -613,3 +640,30 @@ def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
     assert proc.returncode == code
     assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
+
+
+def test_dense_run_holds_no_iterates(tmp_path):
+    # 50 001 iterates of 400 floats would be 160 MB; the run's own columns,
+    # its one block of iterates and the interpreter fit well under 100 MB.
+    # Linux carries ru_maxrss across exec, so a run spawned straight from this
+    # process would report this process's peak: a small intermediate spawns
+    # it and reads the run's own peak from RUSAGE_CHILDREN.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    script = (
+        "import resource, subprocess, sys\n"
+        "cli = [sys.executable, '-m', 'anchored_minimax.cli']\n"
+        "code = subprocess.call(cli + sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["run", "--problem", "ouyang-200", "--algo", "eag-v", "--iters", "50000",
+            "--dense", "--out", str(tmp_path / "dense.csv")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0
+    rss_mb = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
+    assert rss_mb < 100, f"peak RSS {rss_mb:.0f} MB"
+    assert (tmp_path / "dense.csv").read_bytes().count(b"\n") == 50_002

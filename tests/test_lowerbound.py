@@ -437,6 +437,14 @@ class TestVerifyLowerBound:
         report = verify_lower_bound(inst, doctored)
         assert not report.applicable
 
+    def test_trace_without_iterates_raises(self):
+        inst = build_hard_instance(6, n=10)
+        z0 = Point(np.zeros(2 * inst.n), inst.n)
+        trace = run(inst.saddle, AlgoConfig(AlgoKind.EAG_V, 0.1, 10), z0, dense=True,
+                    keep=lambda z: None)
+        with pytest.raises(ContractError, match="this trace kept no iterates"):
+            verify_lower_bound(inst, trace)
+
     def test_iterate_ahead_of_its_budget_flagged_inapplicable(self):
         # the deepest iterate lies in the depth-k span but not in the span
         # reachable with the two calls of the first EG step
