@@ -23,7 +23,10 @@ every step whose consumed oracle budget fits the instance's design depth.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,7 +191,7 @@ class HardInstance:
     the nonzero eigenvalues and the rest are zero.  ``x_star`` is the
     minimum-norm solution of A x = b, and ``saddle`` the biaffine problem
     <A x - b, y - c> with c = x_star, whose saddle point nearest the origin
-    is (x_star, x_star).
+    is (x_star, x_star).  ``krylov_basis`` is built on first use and kept.
     """
 
     k: int
@@ -209,6 +212,20 @@ class HardInstance:
     @property
     def A(self) -> np.ndarray:
         return np.diag(self.diag)
+
+    @cached_property
+    def krylov_basis(self) -> np.ndarray:
+        """Read-only orthonormal basis of the whole Krylov space of (A, b).
+
+        b lives on the 2m+2 distinct eigenvalues ``lambdas``, so the space
+        has dimension 2m+2 and a build to depth 2 len(lambdas) (capped at n)
+        stops once it is exhausted.  The leading d columns are those of a
+        depth-d build, so one basis serves every depth.
+        """
+        depth = min(self.n, 2 * len(self.lambdas))
+        Q = _krylov_basis(lambda v: self.diag * v, self.b, depth)
+        Q.flags.writeable = False
+        return Q
 
     @property
     def floor(self) -> float:
@@ -347,6 +364,11 @@ class LowerBoundReport:
     message: str = ""
 
 
+# Iterates whose span is checked by one projection.  Bounded so that the
+# (n, 2 * block) temporaries stay small next to the basis at deep k.
+_SPAN_BLOCK = 32
+
+
 def verify_lower_bound(
     instance: HardInstance,
     trace: Trace,
@@ -361,19 +383,35 @@ def verify_lower_bound(
     of (A, b) up to a projection residual of span_tol * ||block||.  Iterates
     beyond the design depth carry no guarantee and are skipped.  A trace that
     leaves the Krylov span is reported inapplicable rather than failed; one
-    whose run passed its iterates to ``keep`` raises ContractError.
+    whose run passed its iterates to ``keep`` raises ContractError, as do a
+    k that is not an integer >= 1, a span_tol that is not finite and > 0,
+    and a trace whose z0 is not 2n long.
+
+    The span is read off the instance's ``krylov_basis``, built once per
+    instance, whose first e_j columns span iterate j's reachable space.  Up
+    to 32 checked iterates are projected at a time: their x- and y-blocks
+    form the columns of B, C = Q^T B has its rows at and beyond each
+    column's budget zeroed, and the column norms of B - Q C are compared
+    against the tolerance.
 
     The per-depth curve R^2 D_z^2/(2 floor(e_j/2)+1)^2 is reported for
     information only: the depth-k instance does not (and can not) enforce it
     at intermediate depths.
     """
+    k = instance.k if k is None else k
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ContractError(f"k must be an integer >= 1, got {k!r}")
+    if not (isinstance(span_tol, numbers.Real) and 0 < span_tol < math.inf):
+        raise ContractError(f"span_tol must be finite and > 0, got {span_tol!r}")
+    n = instance.n
+    z0 = trace.z0
+    if np.shape(z0) != (2 * n,):
+        raise ContractError(f"trace z0 has shape {np.shape(z0)}, the instance needs ({2 * n},)")
     if not trace.iterates:
         raise ContractError(
             "this trace kept no iterates to check: its run passed them to keep"
         )
-    k = instance.k if k is None else k
     zs = instance.saddle.saddle_point.coords
-    z0 = trace.z0
     Dz2 = float(np.sum((z0 - zs) ** 2))
     floor = instance.R**2 * Dz2 / (2 * (k // 2) + 1) ** 2
     if Dz2 == 0.0:
@@ -384,34 +422,36 @@ def verify_lower_bound(
             "instance is built relative to z0 = 0; translate the problem first",
         )
 
-    n = instance.n
-    depth_max = min(int(k), 2 * len(instance.lambdas))
-    Q = _krylov_basis(lambda v: instance.diag * v, instance.b, depth_max)
-
-    def in_span(block: np.ndarray, depth: int) -> bool:
-        nrm = float(np.linalg.norm(block))
-        if nrm == 0.0:
-            return True
-        Qd = Q[:, :depth]
-        r = block - Qd @ (Qd.T @ block)
-        return float(np.linalg.norm(r)) <= span_tol * nrm
+    budgets = trace.oracle_calls[trace.stored_ks]
+    checked = np.flatnonzero(budgets <= k)
+    in_span = np.empty(len(checked), dtype=bool)
+    Q = instance.krylov_basis
+    rows = np.arange(Q.shape[1])[:, None]
+    for lo in range(0, len(checked), _SPAN_BLOCK):
+        sel = checked[lo : lo + _SPAN_BLOCK]
+        d = np.array([trace.iterates[i] for i in sel], dtype=float)
+        d -= z0
+        B = d.reshape(2 * len(sel), n).T  # a view: columns x_1, y_1, x_2, y_2, ...
+        C = Q.T @ B
+        C[rows >= np.repeat(budgets[sel], 2)] = 0.0
+        off = Q @ C
+        off -= B  # minus the part of each column off its reachable span
+        nrm = np.sqrt(np.einsum("ij,ij->j", B, B))
+        resid = np.sqrt(np.einsum("ij,ij->j", off, off))
+        ok = (nrm == 0.0) | (resid <= span_tol * nrm)
+        in_span[lo : lo + len(sel)] = ok.reshape(-1, 2).all(axis=1)
 
     steps: list[StepCheck] = []
-    all_in_span = True
     verdict = True
-    for idx, j in enumerate(trace.stored_ks.tolist()):
-        e = int(trace.oracle_calls[j])
-        if e > k:
-            continue
-        z = trace.iterates[idx]
+    for idx, ok_span in zip(checked.tolist(), in_span.tolist()):
+        j = int(trace.stored_ks[idx])
+        e = int(budgets[idx])
         gsq = float(trace.grad_sq[j])
-        ok_span = in_span(z[:n] - z0[:n], e) and in_span(z[n:] - z0[n:], e)
-        all_in_span &= ok_span
         per_depth = instance.R**2 * Dz2 / (2 * (e // 2) + 1) ** 2
         ok = gsq >= floor * (1 - 1e-9)
         verdict &= ok
         steps.append(StepCheck(j, e, gsq, floor, gsq - floor, per_depth, ok_span))
-    if not all_in_span:
+    if not in_span.all():
         return LowerBoundReport(
             steps, False, False, floor,
             "trace left the reachable Krylov span; the bound does not apply",

@@ -320,19 +320,19 @@ def flow_closed_form(spec: FlowSpec, t) -> np.ndarray:
 
 
 def _flow_rhs(spec: FlowSpec):
-    x0, y0 = spec.z0
-    z0 = np.array([x0, y0])
+    """The flow field (t, (x, y)) -> (dx/dt, dy/dt), on Python floats."""
+    x0, y0 = float(spec.z0[0]), float(spec.z0[1])
     if spec.kind == FlowKind.ANCHORED:
-        def rhs(t: float, z: np.ndarray) -> np.ndarray:
-            return np.array([-z[1], z[0]]) + (z0 - z) / t
+        def rhs(t: float, z) -> tuple[float, float]:
+            x, y = z
+            return -y + (x0 - x) / t, x + (y0 - y) / t
     else:
         lam = spec.lam
         c = 1.0 / (1 + lam * lam)
-        def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        def rhs(t: float, z) -> tuple[float, float]:
             # -G_lam(z) for the resolvent-regularized operator of [[0,1],[-1,0]]
-            return np.array(
-                [-c * (lam * z[0] + z[1]), -c * (-z[0] + lam * z[1])]
-            )
+            x, y = z
+            return -c * (lam * x + y), -c * (-x + lam * y)
     return rhs
 
 
@@ -345,7 +345,7 @@ class FlowTrajectory:
 
 
 def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
-    """Classical fixed-step RK4 from t_start to t_end.
+    """Classical fixed-step RK4 from t_start to t_end, stepped on Python floats.
 
     The initial value is the closed form evaluated at t_start: for the
     anchored flow that is the unique solution approaching z0 as t -> 0+
@@ -361,19 +361,21 @@ def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
     zs = np.empty((spec.steps + 1, 2))
     zs[0] = z
     t = spec.t_start
+    x, y = z.tolist()
     for i in range(spec.steps):
-        k1 = rhs(t, z)
-        k2 = rhs(t + h / 2, z + h / 2 * k1)
-        k3 = rhs(t + h / 2, z + h / 2 * k2)
-        k4 = rhs(t + h, z + h * k3)
-        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        a1, b1 = rhs(t, (x, y))
+        a2, b2 = rhs(t + h / 2, (x + h / 2 * a1, y + h / 2 * b1))
+        a3, b3 = rhs(t + h / 2, (x + h / 2 * a2, y + h / 2 * b2))
+        a4, b4 = rhs(t + h, (x + h * a3, y + h * b3))
+        x = x + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        y = y + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
         t = spec.t_start + (i + 1) * h
-        if not np.isfinite(z).all() or np.linalg.norm(z) > limit:
+        if not (math.isfinite(x) and math.isfinite(y)) or math.hypot(x, y) > limit:
             raise NumericalDivergenceError(
                 f"flow integration blew up at step {i + 1} (t ~ {t:.3g}); "
                 f"try more than {spec.steps} steps"
             )
-        zs[i + 1] = z
+        zs[i + 1] = x, y
     return FlowTrajectory(
         ts=ts,
         zs=zs,

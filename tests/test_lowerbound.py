@@ -24,7 +24,54 @@ from anchored_minimax import (
     save_instance,
     verify_lower_bound,
 )
-from anchored_minimax.lowerbound import _kkt_residual_cheb, _krylov_basis
+from anchored_minimax import lowerbound
+from anchored_minimax.lowerbound import (
+    LowerBoundReport,
+    StepCheck,
+    _kkt_residual_cheb,
+    _krylov_basis,
+)
+
+
+def reference_report(instance, trace, k=None, span_tol=1e-8):
+    """Reference for verify_lower_bound: a basis built per call and one
+    projection per x- or y-block of each iterate."""
+    k = instance.k if k is None else k
+    zs = instance.saddle.saddle_point.coords
+    z0 = trace.z0
+    Dz2 = float(np.sum((z0 - zs) ** 2))
+    floor = instance.R**2 * Dz2 / (2 * (k // 2) + 1) ** 2
+    n = instance.n
+    depth_max = min(int(k), 2 * len(instance.lambdas))
+    Q = _krylov_basis(lambda v: instance.diag * v, instance.b, depth_max)
+
+    def in_span(block, depth):
+        nrm = float(np.linalg.norm(block))
+        if nrm == 0.0:
+            return True
+        Qd = Q[:, :depth]
+        r = block - Qd @ (Qd.T @ block)
+        return float(np.linalg.norm(r)) <= span_tol * nrm
+
+    steps, all_in_span, verdict = [], True, True
+    for idx, j in enumerate(trace.stored_ks.tolist()):
+        e = int(trace.oracle_calls[j])
+        if e > k:
+            continue
+        z = trace.iterates[idx]
+        gsq = float(trace.grad_sq[j])
+        ok_span = in_span(z[:n] - z0[:n], e) and in_span(z[n:] - z0[n:], e)
+        all_in_span &= ok_span
+        per_depth = instance.R**2 * Dz2 / (2 * (e // 2) + 1) ** 2
+        ok = gsq >= floor * (1 - 1e-9)
+        verdict &= ok
+        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, per_depth, ok_span))
+    if not all_in_span:
+        return LowerBoundReport(
+            steps, False, False, floor,
+            "trace left the reachable Krylov span; the bound does not apply",
+        )
+    return LowerBoundReport(steps, True, verdict, floor)
 
 
 class TestChebyshev:
@@ -318,6 +365,25 @@ class TestKrylovOracle:
         assert np.abs(Q.T @ Q - np.eye(60)).max() < 1e-13
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 33, 64, 128, 256])
+@pytest.mark.parametrize("extra", [0, 9])
+def test_cached_basis_prefix_is_a_shallow_build(k, extra):
+    # one basis per instance serves every depth only if its leading columns
+    # are bit for bit those the same builder gives at that depth
+    rng = np.random.default_rng(1000 * k + extra)
+    R, D = (float(2.0 ** rng.uniform(-1, 1)) for _ in range(2))
+    inst = build_hard_instance(k, R, D, n=k + 2 + extra)
+    Q = inst.krylov_basis
+    assert Q is inst.krylov_basis
+    assert Q.shape[1] <= min(inst.n, 2 * len(inst.lambdas))
+    for d in sorted({1, 2, max(1, k // 2), k, Q.shape[1], inst.n}):
+        P = _krylov_basis(lambda v: inst.diag * v, inst.b, d)
+        assert P.shape[1] == min(d, Q.shape[1])
+        assert np.array_equal(P, Q[:, : P.shape[1]])
+    with pytest.raises(ValueError):
+        Q[0, 0] = 0.0
+
+
 class TestChebyshevSolver:
     def test_depth_one_returns_zero(self):
         B = np.diag([0.3, -0.8])
@@ -463,6 +529,81 @@ class TestVerifyLowerBound:
             report = verify_lower_bound(inst, trace)
             assert report.applicable and report.verdict, (kind, report.message)
             assert report.steps and all(s.in_span for s in report.steps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 64), extra=st.integers(0, 8), data=st.data())
+    def test_blocked_span_check_equals_per_iterate_reference(self, k, extra, data):
+        inst = build_hard_instance(k, n=k + 2 + extra)
+        n = inst.n
+        for kind in AlgoKind:
+            trace = self.run_on_instance(inst, kind, k + 1)
+            assert verify_lower_bound(inst, trace) == reference_report(inst, trace), kind
+            last = len(trace.iterates) - 1
+            i = data.draw(st.integers(0, last), label="pushed iterate")
+            coord = data.draw(st.integers(0, 2 * n - 1), label="coordinate")
+            rogue = trace.iterates[i].copy()
+            rogue[coord] += data.draw(st.sampled_from([1e-3, 1.0]), label="push")
+            pushed = replace(trace, iterates=[*trace.iterates[:i], rogue, *trace.iterates[i + 1:]])
+            assert verify_lower_bound(inst, pushed) == reference_report(inst, pushed), kind
+            j = data.draw(st.integers(0, last), label="early iterate")
+            ahead = replace(trace, iterates=[*trace.iterates[:j], trace.iterates[-1],
+                                             *trace.iterates[j + 1:]])
+            assert verify_lower_bound(inst, ahead) == reference_report(inst, ahead), kind
+
+    def test_span_check_crosses_a_block_boundary(self):
+        # popov spends one call per step: 65 checked iterates, three blocks
+        inst = build_hard_instance(64)
+        trace = self.run_on_instance(inst, AlgoKind.POPOV, 80)
+        report = verify_lower_bound(inst, trace)
+        assert report == reference_report(inst, trace)
+        assert len(report.steps) == 65 and report.applicable and report.verdict
+        for i in (31, 32, 40, 64):
+            rogue = trace.iterates[i].copy()
+            rogue[2 * inst.n - 1] += 1.0
+            iterates = [*trace.iterates[:i], rogue, *trace.iterates[i + 1:]]
+            doctored = replace(trace, iterates=iterates)
+            report = verify_lower_bound(inst, doctored)
+            assert report == reference_report(inst, doctored)
+            assert not report.applicable
+            assert [s.k_iter for s in report.steps if not s.in_span] == [i]
+
+    def test_checks_on_one_instance_build_one_basis(self, monkeypatch):
+        depths = []
+
+        def counting(apply, b, depth):
+            depths.append(depth)
+            return _krylov_basis(apply, b, depth)
+
+        monkeypatch.setattr(lowerbound, "_krylov_basis", counting)
+        inst = build_hard_instance(24, n=30)
+        for kind in AlgoKind:
+            report = verify_lower_bound(inst, self.run_on_instance(inst, kind, 25))
+            assert report.applicable and report.verdict
+        assert depths == [min(inst.n, 2 * len(inst.lambdas))]
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "3"])
+    def test_rejects_bad_depth(self, k):
+        inst = build_hard_instance(6, n=10)
+        trace = self.run_on_instance(inst, AlgoKind.EG, 4)
+        with pytest.raises(ContractError, match="k must be an integer >= 1"):
+            verify_lower_bound(inst, trace, k=k)
+
+    def test_numpy_integer_depth_accepted(self):
+        inst = build_hard_instance(6, n=10)
+        trace = self.run_on_instance(inst, AlgoKind.EG, 4)
+        assert verify_lower_bound(inst, trace, k=np.int64(6)) == verify_lower_bound(inst, trace)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "1e-8", None])
+    def test_rejects_bad_span_tol(self, tol):
+        inst = build_hard_instance(6, n=10)
+        trace = self.run_on_instance(inst, AlgoKind.EG, 4)
+        with pytest.raises(ContractError, match="span_tol must be finite and > 0"):
+            verify_lower_bound(inst, trace, span_tol=tol)
+
+    def test_rejects_trace_of_another_dimension(self):
+        trace = self.run_on_instance(build_hard_instance(6, n=10), AlgoKind.EG, 4)
+        with pytest.raises(ContractError, match="trace z0 has shape"):
+            verify_lower_bound(build_hard_instance(6, n=11), trace)
 
     def test_floor_is_tight_at_design_depth(self):
         # the exact Krylov optimum meets the floor with equality, so no

@@ -29,6 +29,39 @@ from anchored_minimax.problems import PRESET_STEP_SIZES, _ouyang_apply, ouyang_m
 EPS = np.finfo(float).eps
 
 
+def reference_rk4(spec: FlowSpec) -> np.ndarray:
+    """Reference for integrate_flow: RK4 on numpy 2-vectors, one array per stage."""
+    z0 = np.array(spec.z0)
+    if spec.kind == FlowKind.ANCHORED:
+        def rhs(t, z):
+            return np.array([-z[1], z[0]]) + (z0 - z) / t
+    else:
+        lam = spec.lam
+        c = 1.0 / (1 + lam * lam)
+        def rhs(t, z):
+            return np.array([-c * (lam * z[0] + z[1]), -c * (-z[0] + lam * z[1])])
+    h = (spec.t_end - spec.t_start) / spec.steps
+    z = flow_closed_form(spec, spec.t_start)
+    limit = 1e9 * (np.linalg.norm(z) + 1.0)
+    zs = np.empty((spec.steps + 1, 2))
+    zs[0] = z
+    t = spec.t_start
+    for i in range(spec.steps):
+        k1 = rhs(t, z)
+        k2 = rhs(t + h / 2, z + h / 2 * k1)
+        k3 = rhs(t + h / 2, z + h / 2 * k2)
+        k4 = rhs(t + h, z + h * k3)
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = spec.t_start + (i + 1) * h
+        if not np.isfinite(z).all() or np.linalg.norm(z) > limit:
+            raise NumericalDivergenceError(
+                f"flow integration blew up at step {i + 1} (t ~ {t:.3g}); "
+                f"try more than {spec.steps} steps"
+            )
+        zs[i + 1] = z
+    return zs
+
+
 def _assert_matches_dense(n: int, z: np.ndarray) -> None:
     """The matrix-free ouyang operator against the dense matrices.
 
@@ -301,6 +334,34 @@ class TestIntegrateFlow:
         )
         with pytest.raises(NumericalDivergenceError, match="steps"):
             integrate_flow(spec)
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    @pytest.mark.parametrize(
+        "z0, t_end, steps, lam, t_start",
+        [
+            ((1.0, 0.0), 20.0, 10_000, 0.01, 1e-2),
+            ((1, 0), 20.0, 10_000, 0.01, 1e-2),
+            ((3, -2), 7.5, 333, 0.37, 0.25),
+            ((0.3, 1.7), 50.0, 1, 1.0, 1e-3),
+            ((-0.6, 0.05), 1.0, 7, 0.01, 0.5),
+            ((0.0, 0.0), 5.0, 100, 2.0, 1e-2),
+        ],
+    )
+    def test_matches_numpy_reference_bitwise(self, kind, z0, t_end, steps, lam, t_start):
+        spec = FlowSpec(kind, z0=z0, t_end=t_end, steps=steps, lam=lam, t_start=t_start)
+        traj = integrate_flow(spec)
+        assert traj.zs.shape == (steps + 1, 2)
+        assert np.array_equal(traj.zs, reference_rk4(spec))
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    @pytest.mark.parametrize("t_end, steps", [(5000.0, 2), (600.0, 20), (400.0, 100)])
+    def test_blowup_at_reference_step(self, kind, t_end, steps):
+        spec = FlowSpec(kind, z0=(1.0, 0.0), t_end=t_end, steps=steps, lam=0.01)
+        with pytest.raises(NumericalDivergenceError) as expected:
+            reference_rk4(spec)
+        with pytest.raises(NumericalDivergenceError) as got:
+            integrate_flow(spec)
+        assert str(got.value) == str(expected.value)
 
     def test_spec_validation(self):
         with pytest.raises(ContractError):
