@@ -12,7 +12,6 @@ from .core import (
     GradientCheckReport,
     MonotoneReport,
     NumericalDivergenceError,
-    OracleCounter,
     Point,
     SaddleProblem,
     check_gradient,
@@ -25,7 +24,6 @@ from .algorithms import (
     AlgoConfig,
     AlgoKind,
     Trace,
-    eag_step,
     eag_v_alpha_limit,
     eag_v_alpha_next,
     run,

@@ -24,19 +24,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    ContractError,
-    NumericalDivergenceError,
-    OracleCounter,
-    Point,
-    SaddleProblem,
-)
+from .core import ContractError, NumericalDivergenceError, Point, SaddleProblem, check_count
 
 __all__ = [
     "AlgoKind",
     "AlgoConfig",
     "Trace",
-    "eag_step",
     "eag_v_alpha_next",
     "eag_v_alpha_limit",
     "store_plan",
@@ -76,7 +69,7 @@ class AlgoConfig:
     ``alpha0`` is the step size (or initial step size for the varying-step
     method) in units of 1/R. ``anchor_delta`` sets beta_k = 1/(k + delta);
     all stated rate guarantees use delta = 2. ``simgd_p`` and ``simgd_gamma``
-    only affect SimGD-A.
+    only affect SimGD-A. Every float must be finite and ``iters`` an int.
     """
 
     kind: AlgoKind
@@ -87,16 +80,17 @@ class AlgoConfig:
     simgd_gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha0 > 0:
-            raise ContractError("alpha0 must be > 0")
-        if self.iters < 1:
-            raise ContractError("iters must be >= 1")
-        if not self.anchor_delta > 1:
-            raise ContractError("anchor_delta must be > 1")
+        if not 0 < self.alpha0 < math.inf:
+            raise ContractError(f"alpha0 must be finite and > 0, got {self.alpha0!r}")
+        check_count("iters", self.iters, 1)
+        if not 1 < self.anchor_delta < math.inf:
+            raise ContractError(
+                f"anchor_delta must be finite and > 1, got {self.anchor_delta!r}"
+            )
         if not 0.5 < self.simgd_p < 1:
             raise ContractError("simgd_p must lie in (1/2, 1)")
-        if not self.simgd_gamma > 0:
-            raise ContractError("simgd_gamma must be > 0")
+        if not 0 < self.simgd_gamma < math.inf:
+            raise ContractError("simgd_gamma must be finite and > 0")
 
 
 @dataclass
@@ -116,7 +110,6 @@ class Trace:
     """
 
     kind: AlgoKind
-    problem_name: str
     z0: np.ndarray
     stored_ks: np.ndarray
     iterates: list[np.ndarray]
@@ -125,7 +118,6 @@ class Trace:
     alphas: np.ndarray | None = None
     anchor_inner: np.ndarray | None = None
     anchor_delta: float = 2.0
-    metadata: dict = field(default_factory=dict)
     half_ks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     half_iterates: list[np.ndarray] = field(default_factory=list)
 
@@ -166,40 +158,14 @@ def store_plan(iters: int, dense: bool) -> np.ndarray:
     return np.array(sorted(k for k in ks if k <= iters))
 
 
-def eag_step(
-    problem: SaddleProblem,
-    z_k: Point,
-    z0: Point,
-    k: int,
-    alpha_k: float,
-    beta_k: float,
-    counter: OracleCounter | None = None,
-) -> tuple[Point, Point]:
-    """One anchored extragradient step; exactly two operator evaluations.
-
-    With beta_k = 0 this reduces bitwise to an extragradient step.
-    """
-    if not 0 <= beta_k < 1:
-        raise ContractError("beta_k must lie in [0, 1)")
-    if not alpha_k > 0:
-        raise ContractError("alpha_k must be > 0")
-    z = z_k.coords
-    g = np.asarray(problem.operator(z), dtype=float)
-    zh, zn = _extragradient(problem.operator, z - beta_k * (z - z0.coords), g, alpha_k)
-    if counter is not None:
-        counter.count(2)
-    return Point(zh, problem.dim_x), Point(zn, problem.dim_x)
-
-
-def _extragradient(op, base: np.ndarray, g: np.ndarray, alpha: float):
-    """(z_half, z_next) = (base - alpha g, base - alpha G(base - alpha g)).
+def _extragradient(op, base: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    """z_next = base - alpha G(base - alpha g), through the half-iterate.
 
     ``g`` is G(z_k) and ``base`` is z_k - beta_k (z_k - z0); EG has base = z_k.
     Arrays multiply on the left: the same product, without the Python
     float's reflected-operand detour.
     """
-    zh = base - g * alpha
-    return zh, base - np.asarray(op(zh), dtype=float) * alpha
+    return base - np.asarray(op(base - g * alpha), dtype=float) * alpha
 
 
 def eag_v_alpha_next(alpha_k: float, k: int, R: float, delta: float = 2.0) -> float:
@@ -250,7 +216,6 @@ def run(
     problem: SaddleProblem,
     config: AlgoConfig,
     z0: Point,
-    counter: OracleCounter | None = None,
     dense: bool = False,
     keep: Callable[[np.ndarray], None] | None = None,
 ) -> Trace:
@@ -274,7 +239,6 @@ def run(
     kind, K = config.kind, config.iters
     _validate_stepsize(config, R)
 
-    counter = counter if counter is not None else OracleCounter()
     op = problem.operator
     plan = store_plan(K, dense)
     store = None if len(plan) == K + 1 else set(plan.tolist())
@@ -282,9 +246,8 @@ def run(
     anchored = varying or kind == AlgoKind.EAG_C
     cost, nx = _EVALS_PER_ITER[kind], problem.dim_x
 
-    e0 = counter.evals
     grad_sq = np.empty(K + 1)
-    oracle_calls = e0 + cost * np.arange(K + 1, dtype=np.int64)
+    oracle_calls = cost * np.arange(K + 1, dtype=np.int64)
     iterates: list[np.ndarray] = []
     keep = iterates.append if keep is None else keep
     alphas = np.empty(K + 1) if anchored else None
@@ -296,62 +259,56 @@ def run(
     g_prev = None
 
     # divergence is detected per iteration and raised with a diagnostic, so
-    # numpy's own overflow warnings are redundant noise here. The counter is
-    # settled once, to the k updates completed, however the loop ends.
-    k = 0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(K + 1):
-                # any inf or nan entry makes the sum of squares non-finite; only
-                # an overflowing but finite z needs the entrywise test
-                if not math.isfinite(z.dot(z)) and not np.isfinite(z).all():
+    # numpy's own overflow warnings are redundant noise here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K + 1):
+            # any inf or nan entry makes the sum of squares non-finite; only
+            # an overflowing but finite z needs the entrywise test
+            if not math.isfinite(z.dot(z)) and not np.isfinite(z).all():
+                raise NumericalDivergenceError(
+                    f"{kind.value} produced a non-finite iterate at iteration {k}"
+                )
+            if store is None or k in store:
+                keep(z)  # every z is a fresh array, never written
+            g = np.asarray(op(z), dtype=float)
+            grad_sq[k] = g.dot(g)
+            if anchored:
+                alphas[k] = a
+                d = z - z0c
+                anchor_inner[k] = g.dot(d)
+            if k == K:
+                break
+            if anchored:
+                if varying and not a * R < 1:
                     raise NumericalDivergenceError(
-                        f"{kind.value} produced a non-finite iterate at iteration {k}"
+                        f"alpha_{k} * R = {a * R} >= 1; "
+                        "varying-step hypothesis broken"
                     )
-                if store is None or k in store:
-                    keep(z)  # every z is a fresh array, never written
-                g = np.asarray(op(z), dtype=float)
-                grad_sq[k] = g.dot(g)
-                if anchored:
-                    alphas[k] = a
-                    d = z - z0c
-                    anchor_inner[k] = g.dot(d)
-                if k == K:
-                    break
-                if anchored:
-                    if varying and not a * R < 1:
-                        raise NumericalDivergenceError(
-                            f"alpha_{k} * R = {a * R} >= 1; "
-                            "varying-step hypothesis broken"
-                        )
-                    z = _extragradient(op, z - d * (1.0 / (k + delta)), g, a)[1]
-                    if varying:
-                        a = eag_v_alpha_next(a, k, R, delta)
-                elif kind == AlgoKind.EG:
-                    z = _extragradient(op, z, g, a)[1]
-                elif kind == AlgoKind.POPOV:
-                    # G(z^{-1}) := G(z^0), so the first step is a plain gradient step
-                    z = z - a * g - a * (g - (g if g_prev is None else g_prev))
-                    g_prev = g
-                elif kind == AlgoKind.SIMGD_A:
-                    p, gamma = config.simgd_p, config.simgd_gamma
-                    z = (
-                        z - (1 - p) / (k + 1) ** p * g
-                        + (1 - p) * gamma / (k + 1) * (z0c - z)
-                    )
-                elif kind == AlgoKind.ALT_GDA:
-                    x_new = z[:nx] - a * g[:nx]
-                    g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
-                    # y-block of G is -grad_y L, so ascent in y subtracts it
-                    z = np.concatenate([x_new, z[nx:] - a * g_mid[nx:]])
-                else:  # SIM_GD
-                    z = z - a * g
-    finally:
-        counter.evals = e0 + cost * k
+                z = _extragradient(op, z - d * (1.0 / (k + delta)), g, a)
+                if varying:
+                    a = eag_v_alpha_next(a, k, R, delta)
+            elif kind == AlgoKind.EG:
+                z = _extragradient(op, z, g, a)
+            elif kind == AlgoKind.POPOV:
+                # G(z^{-1}) := G(z^0), so the first step is a plain gradient step
+                z = z - a * g - a * (g - (g if g_prev is None else g_prev))
+                g_prev = g
+            elif kind == AlgoKind.SIMGD_A:
+                p, gamma = config.simgd_p, config.simgd_gamma
+                z = (
+                    z - (1 - p) / (k + 1) ** p * g
+                    + (1 - p) * gamma / (k + 1) * (z0c - z)
+                )
+            elif kind == AlgoKind.ALT_GDA:
+                x_new = z[:nx] - a * g[:nx]
+                g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
+                # y-block of G is -grad_y L, so ascent in y subtracts it
+                z = np.concatenate([x_new, z[nx:] - a * g_mid[nx:]])
+            else:  # SIM_GD
+                z = z - a * g
 
     return Trace(
         kind=kind,
-        problem_name=problem.name,
         z0=z0c.copy(),
         stored_ks=plan,
         iterates=iterates,
@@ -360,7 +317,6 @@ def run(
         alphas=alphas,
         anchor_inner=anchor_inner,
         anchor_delta=delta,
-        metadata={"alpha0": config.alpha0, "R": R},
     )
 
 
@@ -399,8 +355,13 @@ def theoretical_bound(
     Extragradient (best iterate): D^2/(a^2 (1-a^2R^2) (k+1)).
 
     ``k`` is an int or an int array; the formula broadcasts over it and gives
-    each element the scalar call's value bit for bit.
+    each element the scalar call's value bit for bit. Every k must be >= 0,
+    R finite and > 0, and D finite and >= 0.
     """
+    if np.any(np.asarray(k) < 0):
+        raise ContractError("k must be >= 0")
+    if not (0 < R < math.inf and 0 <= D < math.inf):
+        raise ContractError(f"need finite R > 0 and D >= 0, got R = {R}, D = {D}")
     if kind == AlgoKind.EAG_C:
         if alpha is None:
             raise ContractError("constant-step bound needs alpha")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Trace
-from .core import CertificateError, ContractError, SaddleProblem
+from .core import CertificateError, ContractError, SaddleProblem, check_count
 
 __all__ = [
     "check_eag_c_stepsize",
@@ -91,10 +91,20 @@ class LyapunovReport:
 
 
 def check_lyapunov_monotone(V: np.ndarray, scale: float) -> LyapunovReport:
-    """Verdict per step: V_{k+1} <= V_k + 1e-10 * scale."""
+    """Verdict per step: V_{k+1} <= V_k + 1e-10 * scale, with both ends finite.
+
+    A non-finite V_j fails the steps into and out of it; V needs at least one
+    step, and ``scale`` must be finite and > 0.
+    """
+    if len(V) < 2:
+        raise ContractError(f"V has {len(V)} values, no step to check")
+    if not 0 < scale < math.inf:
+        raise ContractError(f"scale must be finite and > 0, got {scale!r}")
     tol = 1e-10 * scale
-    jumps = np.diff(V)
-    bad = np.nonzero(jumps > tol)[0]
+    finite = np.isfinite(V)
+    with np.errstate(invalid="ignore"):  # inf - inf: a failing step anyway
+        jumps = np.diff(V)
+    bad = np.nonzero(~((jumps <= tol) & finite[1:] & finite[:-1]))[0]
     violations = [(int(k), float(jumps[k])) for k in bad]
     return LyapunovReport(
         violations=violations,
@@ -111,16 +121,11 @@ def check_lyapunov_monotone(V: np.ndarray, scale: float) -> LyapunovReport:
 
 @dataclass(frozen=True)
 class IntervalChain:
-    """The interval [ell, u] for A_k and the ordered comparison quantities."""
+    """The interval [ell, u] for A_k and its case split point mid."""
 
     ell: float
     upper: float
-    mid: float              # alpha (k+1)(k+2) / 2
-    tau1_floor: float       # alpha (k+1)(k+1+alpha(k+2)) / (2(1+alpha))
-    tau_cmp: float          # (alpha (k+1)^2 - alpha^3 k(k+2)) / (2(1-alpha^2))
-    tau2_a: float           # alpha (k+1)(k+1-alpha(k+2)) / (2(1-alpha))
-    tau2_b: float           # alpha^2 (k+1)(k+2) / (1+alpha)
-    tau1_ceiling: float     # (alpha^2 (k+1)(k+2) + alpha^3 (k+2)^2) / (2(1+alpha))
+    mid: float  # alpha (k+1)(k+2) / 2
 
 
 def _float_k(k):
@@ -139,7 +144,8 @@ def interval_quantities(k, alphaR: float) -> IntervalChain:
 
     Requires alphaR in (0, 1/2] and k >= 0, an int or an int array (each entry
     bit for bit its scalar value). Raises CertificateError at the first k where
-    u > mid > ell >= tau1_floor >= tau_cmp >= max(tau2_a, tau2_b) >= tau1_ceiling fails.
+    u > mid > ell >= tau1_floor >= tau_cmp >= max(tau2_a, tau2_b) >= tau1_ceiling
+    fails; only ell, u and mid are returned.
     """
     a = alphaR
     if not 0 < a <= 0.5:
@@ -171,7 +177,7 @@ def interval_quantities(k, alphaR: float) -> IntervalChain:
             f"comparison chain broke at k={k_bad}, alphaR={a}; this contradicts "
             "the interval analysis and indicates float catastrophe"
         )
-    return IntervalChain(ell, upper, mid, tau1_floor, tau_cmp, tau2_a, tau2_b, tau1_ceiling)
+    return IntervalChain(ell, upper, mid)
 
 
 def _tau_case1(k, a: float, A):
@@ -309,8 +315,7 @@ def eag_c_certificate(alphaR: float, K: int, tol_psd: float = 1e-9) -> EagCRepor
     a = alphaR
     if not check_eag_c_stepsize(a):
         raise ContractError(f"alphaR = {a} fails the step-size conditions")
-    if K < 1:
-        raise ContractError("K must be >= 1")
+    check_count("K", K, 1)
     k_vac = _first_vacuous_k(a)
     if k_vac < K:
         raise ContractError(

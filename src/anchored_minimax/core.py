@@ -9,6 +9,8 @@ terms of ||G(z)||^2.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,7 +22,6 @@ __all__ = [
     "CertificateError",
     "Point",
     "SaddleProblem",
-    "OracleCounter",
     "eval_operator",
     "grad_sq_norm",
     "check_monotone",
@@ -85,16 +86,6 @@ class Point:
         return Point(np.concatenate([x, y]), x.size)
 
 
-@dataclass
-class OracleCounter:
-    """Counts saddle-operator evaluations within one run. Single writer."""
-
-    evals: int = 0
-
-    def count(self, n: int = 1) -> None:
-        self.evals += n
-
-
 @dataclass(frozen=True)
 class SaddleProblem:
     """An evaluatable saddle operator with a declared smoothness constant.
@@ -141,6 +132,12 @@ class SaddleProblem:
         return Point(np.asarray(coords, dtype=float), self.dim_x)
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ContractError unless ``value`` is an integer >= ``minimum``; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_dims(problem: SaddleProblem, z: Point) -> None:
     if z.dim != problem.dim or z.split != problem.dim_x:
         raise ContractError(
@@ -149,10 +146,8 @@ def _check_dims(problem: SaddleProblem, z: Point) -> None:
         )
 
 
-def eval_operator(
-    problem: SaddleProblem, z: Point, counter: OracleCounter | None = None
-) -> Point:
-    """Evaluate G(z) = (grad_x L, -grad_y L), counting the oracle call."""
+def eval_operator(problem: SaddleProblem, z: Point) -> Point:
+    """Evaluate G(z) = (grad_x L, -grad_y L)."""
     _check_dims(problem, z)
     g = np.asarray(problem.operator(z.coords), dtype=float)
     if g.shape != z.coords.shape:
@@ -160,16 +155,12 @@ def eval_operator(
             f"operator of {problem.name!r} returned shape {g.shape}, "
             f"expected {z.coords.shape}"
         )
-    if counter is not None:
-        counter.count()
     return Point(g, problem.dim_x)
 
 
-def grad_sq_norm(
-    problem: SaddleProblem, z: Point, counter: OracleCounter | None = None
-) -> float:
+def grad_sq_norm(problem: SaddleProblem, z: Point) -> float:
     """Squared Euclidean norm ||G(z)||^2 (equals the squared gradient norm of L)."""
-    g = eval_operator(problem, z, counter).coords
+    g = eval_operator(problem, z).coords
     return float(g @ g)
 
 
@@ -213,12 +204,13 @@ def estimate_lipschitz(
     half of the pairs are short-range perturbations, which probe the local
     constant more sharply. Coincident pairs are resampled. The returned
     maximum ratio never exceeds the true constant, hence must not exceed
-    problem.lipschitz * (1 + 1e-6) for an honestly declared problem.
+    problem.lipschitz * (1 + 1e-6) for an honestly declared problem. A
+    non-finite ratio (an operator returning inf or NaN) gives math.inf.
     """
     if samples < 1:
         raise ContractError("samples must be >= 1")
-    if not radius > 0:
-        raise ContractError("radius must be > 0")
+    if not 0 < radius < math.inf:
+        raise ContractError("radius must be finite and > 0")
     rng = np.random.default_rng(seed)
     n = problem.dim
     best = 0.0
@@ -236,7 +228,10 @@ def estimate_lipschitz(
                 break
         g1 = np.asarray(problem.operator(z1), dtype=float)
         g2 = np.asarray(problem.operator(z2), dtype=float)
-        best = max(best, float(np.linalg.norm(g1 - g2)) / nd)
+        ratio = float(np.linalg.norm(g1 - g2)) / nd
+        if not math.isfinite(ratio):
+            return math.inf  # max() would drop a NaN
+        best = max(best, ratio)
     return best
 
 

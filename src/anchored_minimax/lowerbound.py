@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .algorithms import Trace
-from .core import CertificateError, ContractError, Point, SaddleProblem
+from .core import CertificateError, ContractError, Point, SaddleProblem, check_count
 
 __all__ = [
     "chebyshev_eval",
@@ -399,8 +399,7 @@ def verify_lower_bound(
     at intermediate depths.
     """
     k = instance.k if k is None else k
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ContractError(f"k must be an integer >= 1, got {k!r}")
+    check_count("k", k, 1)
     if not (isinstance(span_tol, numbers.Real) and 0 < span_tol < math.inf):
         raise ContractError(f"span_tol must be finite and > 0, got {span_tol!r}")
     n = instance.n

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import ContractError, NumericalDivergenceError, Point, SaddleProblem
+from .core import ContractError, NumericalDivergenceError, Point, SaddleProblem, check_count
 
 __all__ = [
     "HuberSaddleParams",
@@ -94,25 +94,6 @@ def make_huber_saddle(params: HuberSaddleParams | None = None) -> SaddleProblem:
     )
 
 
-def ouyang_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The banded constraint data A, b, h and curvature H = 2 A^T A.
-
-    The dense reference for the matrix-free operator of ``make_ouyang_qp``.
-    """
-    if n < 2:
-        raise ContractError("n must be >= 2")
-    A = np.zeros((n, n))
-    for i in range(n - 1):
-        A[i, n - 2 - i] = -0.25
-        A[i, n - 1 - i] = 0.25
-    A[n - 1, 0] = 0.25
-    b = np.full(n, 0.25)
-    h = np.zeros(n)
-    h[n - 1] = 0.25
-    H = 2 * A.T @ A
-    return A, b, h, H
-
-
 def _ouyang_apply(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write A v into ``out`` in O(n) and return it.
 
@@ -130,14 +111,19 @@ def make_ouyang_qp(n: int = 200) -> SaddleProblem:
     """Lagrangian of a linearly constrained QP: L = x'Hx/2 - h'x - <Ax-b, y>.
 
     ||A|| <= 1/2 and ||H|| <= 1/2, so the saddle operator is 1-smooth; the
-    declared constant is 1. The saddle point solves A x = b (x = (1, ..., n))
-    and A^T y = H x - h. The operator is matrix-free: with H = 2 A^T A it is
-    G(x, y) = (A^T (2 A x - y) - h, A x - b), one application of A and one of
-    A^T = A, O(n) per call.
+    declared constant is 1. The operator is matrix-free: with H = 2 A^T A it
+    is G(x, y) = (A^T (2 A x - y) - h, A x - b), one application of A and one
+    of A^T = A, O(n) per call (see ``_ouyang_apply`` for A). Here
+    b = (1/4, ..., 1/4) and h = (0, ..., 0, 1/4). The saddle point has a
+    closed form: x* = (1, ..., n) solves A x = b, and y* = (-1/2, ..., -1/2)
+    solves A^T y = 2 A^T b - h = H x* - h, both exact in floating point.
     """
-    A, b, h, H = ouyang_matrices(n)
-    xs = np.linalg.solve(A, b)
-    ys = np.linalg.solve(A.T, H @ xs - h)
+    check_count("n", n, 2)
+    b = np.full(n, 0.25)
+    h = np.zeros(n)
+    h[-1] = 0.25
+    xs = np.arange(1.0, n + 1)
+    ys = np.full(n, -0.5)
 
     def op(z: np.ndarray) -> np.ndarray:
         # a fresh output on every call: callers keep earlier values of G
@@ -277,7 +263,7 @@ class FlowSpec:
     The anchored flow dz/dt = -G(z) + (z0 - z)/t is singular at t = 0, so
     evaluation requires t > 0; ``t_start`` sets where integration begins.
     ``lam`` is the resolvent parameter of the regularized flow and is unused
-    for the anchored kind.
+    for the anchored kind. Every float must be finite and ``steps`` an int.
     """
 
     kind: FlowKind
@@ -288,12 +274,13 @@ class FlowSpec:
     t_start: float = 1e-2
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (*self.z0, self.lam)):
+            raise ContractError(f"z0 = {self.z0} and lam = {self.lam} must be finite")
         if self.kind == FlowKind.MOREAU_YOSIDA and not self.lam > 0:
             raise ContractError("lam must be > 0")
-        if not 0 < self.t_start < self.t_end:
-            raise ContractError("need 0 < t_start < t_end")
-        if self.steps < 1:
-            raise ContractError("steps must be >= 1")
+        if not 0 < self.t_start < self.t_end < math.inf:
+            raise ContractError("need 0 < t_start < t_end < inf")
+        check_count("steps", self.steps, 1)
 
 
 def flow_closed_form(spec: FlowSpec, t) -> np.ndarray:
@@ -341,7 +328,6 @@ class FlowTrajectory:
     ts: np.ndarray
     zs: np.ndarray
     spec: FlowSpec
-    metadata: dict = field(default_factory=dict)
 
 
 def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
@@ -376,12 +362,7 @@ def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
                 f"try more than {spec.steps} steps"
             )
         zs[i + 1] = x, y
-    return FlowTrajectory(
-        ts=ts,
-        zs=zs,
-        spec=spec,
-        metadata={"t_start": spec.t_start, "initial": zs[0].tolist()},
-    )
+    return FlowTrajectory(ts=ts, zs=zs, spec=spec)
 
 
 # ---------------------------------------------------------------------------

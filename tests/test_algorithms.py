@@ -3,22 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from anchored_minimax import (
     AlgoConfig,
     AlgoKind,
     ContractError,
     NumericalDivergenceError,
-    OracleCounter,
     Point,
-    eag_step,
     eag_v_alpha_limit,
     eag_v_alpha_next,
     grad_sq_norm,
     load_preset,
     make_bilinear,
+    make_ouyang_qp,
     run,
     store_plan,
     theoretical_bound,
@@ -174,52 +171,41 @@ def bilinear():
 
 
 class TestEagStep:
-    def test_beta_zero_is_extragradient_bitwise(self, bilinear):
-        z = bilinear.point([0.7, -0.3])
-        _, zn_eag = eag_step(bilinear, z, z, k=0, alpha_k=0.2, beta_k=0.0)
-        eg = run(bilinear, AlgoConfig(AlgoKind.EG, 0.2, 1), z)
-        assert zn_eag.coords.tobytes() == eg.iterate(1).tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 8),
-        seed=st.integers(0, 2**32 - 1),
-        alphaR=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
-                         allow_subnormal=False),
-    )
-    def test_beta_zero_is_extragradient_property(self, n, seed, alphaR):
-        # with beta_k = 0 the anchor, here an unrelated point, has no effect
-        p, z0 = load_preset(f"random-monotone:{n}:{seed}")
-        alpha = alphaR / p.lipschitz
-        anchor = Point(np.random.default_rng(seed).normal(size=2 * n), n)
-        _, zn = eag_step(p, z0, anchor, k=0, alpha_k=alpha, beta_k=0.0)
-        eg = run(p, AlgoConfig(AlgoKind.EG, alpha, 1), z0)
-        assert zn.coords.tobytes() == eg.iterate(1).tobytes()
+    """The anchored extragradient step, taken through ``run``."""
 
     def test_hand_computed_step(self, bilinear):
+        # EAG-C at k = 0: beta_0 = 1/2, so z^{1/2} = (1, 1/8) and z^1 below
         z0 = bilinear.point([1.0, 0.0])
-        zh, zn = eag_step(bilinear, z0, z0, k=0, alpha_k=1 / 8, beta_k=1 / 2)
-        assert zh.coords.tolist() == [1.0, 1 / 8]
-        assert zn.coords.tolist() == [1.0 - 1 / 64, 1 / 8]
+        trace = run(bilinear, AlgoConfig(AlgoKind.EAG_C, 1 / 8, 1), z0)
+        assert trace.iterate(1).tolist() == [1.0 - 1 / 64, 1 / 8]
 
-    def test_fixed_point_at_saddle(self, bilinear):
-        zs = bilinear.point([0.0, 0.0])
-        zh, zn = eag_step(bilinear, zs, zs, k=3, alpha_k=0.1, beta_k=0.2)
-        assert np.array_equal(zh.coords, zs.coords)
-        assert np.array_equal(zn.coords, zs.coords)
+    def test_fixed_point_at_saddle(self):
+        # G vanishes exactly at the closed-form saddle, so anchor and step
+        # both leave it in place, bit for bit
+        p = make_ouyang_qp(20)
+        for kind in (AlgoKind.EAG_C, AlgoKind.EAG_V):
+            trace = run(p, AlgoConfig(kind, 0.1, 5), p.saddle_point)
+            for z in trace.iterates:
+                assert z.tobytes() == p.saddle_point.coords.tobytes()
 
     def test_two_oracle_calls(self, bilinear):
-        c = OracleCounter()
-        z = bilinear.point([1.0, 1.0])
-        eag_step(bilinear, z, z, k=0, alpha_k=0.1, beta_k=0.5, counter=c)
-        assert c.evals == 2
+        calls = []
 
-    def test_rejects_bad_coefficients(self, bilinear):
-        z = bilinear.point([1.0, 1.0])
+        def op(z):
+            calls.append(z)
+            return bilinear.operator(z)
+
+        problem = replace(bilinear, operator=op)
+        calls.clear()  # the saddle-point check at construction called op
+        trace = run(problem, AlgoConfig(AlgoKind.EAG_C, 0.1, 3), bilinear.point([1.0, 1.0]))
+        assert trace.oracle_calls.tolist() == [0, 2, 4, 6]
+        assert len(calls) == 2 * 3 + 1  # and G(z^3), evaluated for recording
+
+    def test_rejects_bad_coefficients(self):
         with pytest.raises(ContractError):
-            eag_step(bilinear, z, z, k=0, alpha_k=0.1, beta_k=1.0)
+            AlgoConfig(AlgoKind.EAG_C, 0.1, 1, anchor_delta=1.0)  # beta_0 = 1
         with pytest.raises(ContractError):
-            eag_step(bilinear, z, z, k=0, alpha_k=-0.1, beta_k=0.5)
+            AlgoConfig(AlgoKind.EAG_C, -0.1, 1)
 
 
 class TestAlphaRecurrence:
@@ -425,11 +411,6 @@ class TestRun:
         z0 = bilinear.point([1.0, 0.0])
         trace = run(bilinear, AlgoConfig(kind, 0.1, 25), z0)
         assert trace.oracle_calls.tolist() == [per_iter * k for k in range(26)]
-        # a counter that already holds calls is continued
-        counter = OracleCounter(evals=7)
-        trace = run(bilinear, AlgoConfig(kind, 0.1, 25), z0, counter=counter)
-        assert trace.oracle_calls.tolist() == [7 + per_iter * k for k in range(26)]
-        assert counter.evals == 7 + per_iter * 25
 
     def test_grad_sq_matches_recomputation(self, bilinear):
         z0 = bilinear.point([0.3, -0.9])
@@ -482,11 +463,9 @@ class TestRun:
 
         problem = replace(bilinear, operator=op)
         calls.clear()  # the saddle-point check at construction called op
-        counter = OracleCounter(evals=7)
         with pytest.raises(NumericalDivergenceError, match=rf"at iteration {k0}$"):
-            run(problem, AlgoConfig(kind, 0.1, 50), bilinear.point([1.0, 0.0]),
-                counter=counter)
-        assert counter.evals == 7 + per_iter * k0
+            run(problem, AlgoConfig(kind, 0.1, 50), bilinear.point([1.0, 0.0]))
+        assert len(calls) == per_iter * k0
 
     def test_overflowing_finite_iterate_does_not_raise(self, bilinear):
         # z . z overflows to inf at entries near 1e200, yet every entry is finite
@@ -621,6 +600,16 @@ class TestTheoreticalBound:
             theoretical_bound(AlgoKind.POPOV, 5, 1.0, 1.0, alpha=0.1)
 
     @pytest.mark.parametrize("kind", [AlgoKind.EAG_C, AlgoKind.EAG_V, AlgoKind.EG])
+    @pytest.mark.parametrize(
+        "k, R, D",
+        [(-1, 1.0, 1.0), (-2, 1.0, 1.0), (np.array([0, 3, -1]), 1.0, 1.0),
+         (3, 1.0, math.nan), (3, 1.0, math.inf), (3, math.inf, 1.0), (3, math.nan, 1.0)],
+    )
+    def test_rejects_negative_k_and_non_finite_constants(self, kind, k, R, D):
+        with pytest.raises(ContractError):
+            theoretical_bound(kind, k, R, D, alpha=0.1, alpha0=0.1, alpha_inf=0.09)
+
+    @pytest.mark.parametrize("kind", [AlgoKind.EAG_C, AlgoKind.EAG_V, AlgoKind.EG])
     def test_int_array_k_matches_scalar_calls_bitwise(self, kind):
         ks = np.unique(np.concatenate([
             np.arange(3000), np.geomspace(1, 10**6, 2000).astype(np.int64), [10**6]
@@ -641,3 +630,14 @@ def test_config_validation():
         AlgoConfig(AlgoKind.EG, alpha0=0.1, iters=10, anchor_delta=1.0)
     with pytest.raises(ContractError):
         AlgoConfig(AlgoKind.SIMGD_A, alpha0=0.1, iters=10, simgd_p=0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha0", math.inf), ("anchor_delta", math.inf), ("simgd_gamma", math.inf),
+     ("iters", True), ("iters", 2.5), ("iters", 10.0)],
+)
+def test_config_rejects_non_finite_and_non_integral(field, value):
+    # anchor_delta = inf would silently make every beta_k zero
+    with pytest.raises(ContractError):
+        AlgoConfig(AlgoKind.EAG_V, **{"alpha0": 0.1, "iters": 10, field: value})

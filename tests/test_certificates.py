@@ -226,6 +226,26 @@ class TestLyapunovSequence:
         report = check_lyapunov_monotone(np.ones(100), scale=1.0)
         assert report.passed and report.first_violation is None
 
+    @pytest.mark.parametrize(
+        "V, first",
+        [([1.0, np.nan, 0.5], 0), ([1.0, 0.5, np.nan], 1), ([np.nan, 1.0, 0.5], 0),
+         ([1.0, -np.inf], 0), ([1.0, 0.5, -np.inf, -np.inf], 1)],
+    )
+    def test_non_finite_value_is_a_violation(self, V, first):
+        report = check_lyapunov_monotone(np.array(V), scale=1.0)
+        assert not report.passed
+        assert report.first_violation == first
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_scale(self, scale):
+        with pytest.raises(ContractError, match="scale"):
+            check_lyapunov_monotone(np.ones(5), scale=scale)
+
+    @pytest.mark.parametrize("V", [[], [np.nan], [1.0]])
+    def test_rejects_fewer_than_two_values(self, V):
+        with pytest.raises(ContractError, match="no step"):
+            check_lyapunov_monotone(np.array(V), scale=1.0)
+
     def test_increase_is_reported_not_raised(self):
         report = check_lyapunov_monotone(np.array([0.0, 1.0, 0.5]), scale=1.0)
         assert not report.passed
@@ -243,7 +263,6 @@ class TestLyapunovSequence:
         full = run(p, AlgoConfig(AlgoKind.EAG_V, 0.618, 10), p.point([1.0, 0.0]))
         trace = Trace(
             kind=full.kind,
-            problem_name=full.problem_name,
             z0=full.z0,
             stored_ks=full.stored_ks,
             iterates=full.iterates,
@@ -473,6 +492,11 @@ class TestEagCCertificate:
     def test_rejects_invalid_stepsize(self):
         with pytest.raises(ContractError):
             eag_c_certificate(0.2, 10)
+
+    @pytest.mark.parametrize("K", [0, True, 2.5])
+    def test_rejects_bad_step_count(self, K):
+        with pytest.raises(ContractError, match="K must be an integer"):
+            eag_c_certificate(0.125, K)
 
     def test_rejects_vacuous_interval_check(self):
         # u_k - ell_k = alphaR^2 (k+2)/(1 - alphaR^2) is 2e-16 at alphaR = 1e-8,

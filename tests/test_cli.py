@@ -622,10 +622,13 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
         (["run", "--problem", "random-monotone:x:1", "--algo", "eg",
           "--alpha", "0.1"], 2, "error: "),
         (["run", "--config", "algo-foo.cfg"], 2, "usage: "),
+        (["run", "--problem", "bilinear-unit", "--algo", "eg", "--alpha", "inf"],
+         2, "error: "),
+        (["flow", "--kind", "anchored", "--t-end", "inf"], 2, "error: "),
     ],
     ids=["run-eag-v-step", "lowerbound-eag-v-step", "lowerbound-eg-zero-step",
          "flow-eag-v-step", "flow-eg-zero-step", "flow-divergence",
-         "preset-not-an-int", "config-choice"],
+         "preset-not-an-int", "config-choice", "run-infinite-step", "flow-infinite-end"],
 )
 def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
     # a real process, so an escaping exception shows as its traceback

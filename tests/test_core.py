@@ -3,7 +3,6 @@ import pytest
 
 from anchored_minimax import (
     ContractError,
-    OracleCounter,
     Point,
     SaddleProblem,
     check_gradient,
@@ -90,13 +89,6 @@ class TestEvalOperator:
             eval_operator(p, Point(np.zeros(3), 1))
         with pytest.raises(ContractError):
             eval_operator(p, Point(np.zeros(2), 2))
-
-    def test_counter_increments(self):
-        p = make_bilinear(1.0)
-        c = OracleCounter()
-        eval_operator(p, p.point([1.0, 0.0]), c)
-        eval_operator(p, p.point([0.0, 1.0]), c)
-        assert c.evals == 2
 
 
 class TestGradSqNorm:
@@ -201,6 +193,19 @@ class TestLipschitz:
             estimate_lipschitz(p, samples=0, radius=1.0, seed=0)
         with pytest.raises(ContractError):
             estimate_lipschitz(p, samples=5, radius=0.0, seed=0)
+        with pytest.raises(ContractError):
+            estimate_lipschitz(p, samples=5, radius=np.inf, seed=0)
+
+    def test_non_finite_operator_gives_infinite_estimate(self):
+        # a NaN ratio would drop out of max() and leave any declared R honest
+        bilinear = make_bilinear(1.0)
+
+        def op(z):
+            g = bilinear.operator(z)
+            return np.full_like(g, np.nan) if z[0] > 0.5 else g
+
+        p = SaddleProblem("nan-in-a-corner", 1, 1, op, 1.0)
+        assert estimate_lipschitz(p, samples=200, radius=1.0, seed=0) == np.inf
 
 
 class TestFiniteDifferences:

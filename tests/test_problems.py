@@ -24,9 +24,26 @@ from anchored_minimax import (
     make_random_monotone,
     run,
 )
-from anchored_minimax.problems import PRESET_STEP_SIZES, _ouyang_apply, ouyang_matrices
+from anchored_minimax.problems import PRESET_STEP_SIZES, _ouyang_apply
 
 EPS = np.finfo(float).eps
+
+
+def ouyang_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The banded constraint data A, b, h and curvature H = 2 A^T A.
+
+    The dense reference for the matrix-free operator of ``make_ouyang_qp``.
+    """
+    A = np.zeros((n, n))
+    for i in range(n - 1):
+        A[i, n - 2 - i] = -0.25
+        A[i, n - 1 - i] = 0.25
+    A[n - 1, 0] = 0.25
+    b = np.full(n, 0.25)
+    h = np.zeros(n)
+    h[n - 1] = 0.25
+    H = 2 * A.T @ A
+    return A, b, h, H
 
 
 def reference_rk4(spec: FlowSpec) -> np.ndarray:
@@ -208,6 +225,15 @@ class TestOuyangQP:
         want = run(dense, config, z0).grad_sq
         assert np.all(np.abs(got - want) <= 1e-10 * want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 400))
+    def test_closed_form_saddle_equals_dense_solve(self, n):
+        A, b, h, H = ouyang_matrices(n)
+        xs = np.linalg.solve(A, b)
+        ys = np.linalg.solve(A.T, H @ xs - h)
+        want = np.concatenate([xs, ys])
+        assert make_ouyang_qp(n).saddle_point.coords.tobytes() == want.tobytes()
+
     def test_feasibility_residual_vanishes_at_saddle(self):
         n = 30
         p = make_ouyang_qp(n)
@@ -219,6 +245,8 @@ class TestOuyangQP:
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ContractError):
             make_ouyang_qp(1)
+        with pytest.raises(ContractError):
+            make_ouyang_qp(2.0)
 
 
 class TestBilinearAndRandom:
@@ -370,6 +398,17 @@ class TestIntegrateFlow:
             FlowSpec(FlowKind.MOREAU_YOSIDA, z0=(1.0, 0.0), t_end=1.0, steps=0)
         with pytest.raises(ContractError):
             FlowSpec(FlowKind.MOREAU_YOSIDA, z0=(1.0, 0.0), t_end=1.0, steps=5, lam=0.0)
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_end", np.inf), ("steps", True), ("steps", 2.5), ("z0", (np.inf, 0.0)),
+         ("z0", (0.0, np.nan)), ("lam", np.inf)],
+    )
+    def test_spec_rejects_non_finite_and_non_integral(self, kind, field, value):
+        args = dict(z0=(1.0, 0.0), t_end=1.0, steps=5, lam=0.01)
+        with pytest.raises(ContractError):
+            FlowSpec(kind, **{**args, field: value})
 
 
 def test_unknown_preset_rejected():
