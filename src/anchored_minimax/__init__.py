@@ -46,13 +46,13 @@ from .lowerbound import (
     LowerBoundReport,
     MinimaxPoly,
     build_hard_instance,
-    chebyshev_eval,
     chebyshev_nodes,
     chebyshev_solver,
     dual_weights,
     krylov_min_residual,
     load_instance,
     minimax_poly,
+    sandwich,
     save_instance,
     verify_lower_bound,
 )

@@ -24,13 +24,7 @@ from .certificates import (
     lyapunov_sequence,
 )
 from .core import CertificateError, ContractError, NumericalDivergenceError, Point
-from .lowerbound import (
-    build_hard_instance,
-    chebyshev_solver,
-    krylov_min_residual,
-    load_instance,
-    verify_lower_bound,
-)
+from .lowerbound import build_hard_instance, load_instance, sandwich, verify_lower_bound
 from .problems import (
     PRESET_STEP_SIZES,
     FlowKind,
@@ -278,12 +272,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     if args.k is None:
         raise ContractError("--k is required")
     inst = build_hard_instance(args.k, args.R, args.D, args.n)
-    m = inst.m
-    target = args.R**2 * args.D**2 / (2 * m + 1) ** 2
-    A = inst.A
-    kry = krylov_min_residual(A, inst.b, args.k)
-    z = chebyshev_solver(A, inst.b, args.k, args.R)
-    cheb = float(np.sum((A @ z - inst.b) ** 2))
+    target, kry, cheb = sandwich(inst)
     rel = max(abs(kry - target), abs(cheb - target)) / target
     ok = rel <= 1e-8
     print(f"closed_form {_fmt(target)}")

@@ -110,15 +110,15 @@ class SaddleProblem:
     def __post_init__(self) -> None:
         if self.dim_x <= 0 or self.dim_y <= 0:
             raise ContractError("dim_x and dim_y must be positive")
-        if not self.lipschitz > 0:
-            raise ContractError("lipschitz constant R must be > 0")
+        if not 0 < self.lipschitz < math.inf:
+            raise ContractError("lipschitz constant R must be finite and > 0")
         if self.saddle_point is not None:
             zs = self.saddle_point
             if zs.dim != self.dim or zs.split != self.dim_x:
                 raise ContractError("saddle_point dimensions do not match problem")
             g = np.asarray(self.operator(zs.coords), dtype=float)
             tol = 1e-10 * max(1.0, self.lipschitz * float(np.linalg.norm(zs.coords)))
-            if np.linalg.norm(g) > tol:
+            if not np.linalg.norm(g) <= tol:  # a NaN residual fails too
                 raise ContractError(
                     f"declared saddle point of {self.name!r} has ||G|| = "
                     f"{np.linalg.norm(g):.3e} > {tol:.3e}"
@@ -180,8 +180,9 @@ def check_monotone(
     """Check <G(z1)-G(z2), z1-z2> >= -tol*||z1-z2||^2 on each pair.
 
     Violations are reported, not raised; the summary verdict is the
-    conjunction over pairs.
+    conjunction over pairs, of which there must be at least one.
     """
+    check_count("len(pairs)", len(pairs), 1)
     inners = np.empty(len(pairs))
     verdicts = np.empty(len(pairs), dtype=bool)
     for i, (z1, z2) in enumerate(pairs):
@@ -207,8 +208,7 @@ def estimate_lipschitz(
     problem.lipschitz * (1 + 1e-6) for an honestly declared problem. A
     non-finite ratio (an operator returning inf or NaN) gives math.inf.
     """
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
+    check_count("samples", samples, 1)
     if not 0 < radius < math.inf:
         raise ContractError("radius must be finite and > 0")
     rng = np.random.default_rng(seed)
@@ -252,8 +252,9 @@ def check_gradient(
 
     Uses per-coordinate steps h_i = h_scale * max(1, |z_i|). Requires the
     problem to carry a ``value`` callable. The relative error at a point is
-    ||G_fd - G|| / max(||G||, 1e-300).
+    ||G_fd - G|| / max(||G||, 1e-300); at least one point is required.
     """
+    check_count("len(points)", len(points), 1)
     if problem.value is None:
         raise ContractError(f"problem {problem.name!r} has no value function")
     L = problem.value
@@ -273,5 +274,5 @@ def check_gradient(
             # y-block of G carries the sign flip -grad_y L
             fd[i] = d if i < problem.dim_x else -d
         errs[idx] = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-300)
-    worst = float(errs.max()) if len(points) else 0.0
+    worst = float(errs.max())
     return GradientCheckReport(worst, errs, worst <= rtol)

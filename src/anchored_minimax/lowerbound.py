@@ -1,7 +1,7 @@
 """Worst-case biaffine instances, minimax polynomials and the Krylov oracle.
 
 The complexity floor R^2 D^2 / (2*floor(k/2)+1)^2 is realized three
-independent ways, which must agree:
+independent ways, which must agree (``sandwich`` returns all three):
 
 * the closed form R/(2m+1) for the minimax value of |t p(t)| over degree-k
   polynomials with p(0) = 1, built from an odd Chebyshev polynomial and
@@ -34,7 +34,6 @@ from .algorithms import Trace
 from .core import CertificateError, ContractError, Point, SaddleProblem, check_count
 
 __all__ = [
-    "chebyshev_eval",
     "MinimaxPoly",
     "minimax_poly",
     "chebyshev_nodes",
@@ -43,25 +42,12 @@ __all__ = [
     "build_hard_instance",
     "krylov_min_residual",
     "chebyshev_solver",
+    "sandwich",
     "LowerBoundReport",
     "verify_lower_bound",
     "save_instance",
     "load_instance",
 ]
-
-
-def chebyshev_eval(N: int, t):
-    """T_N(t) by the three-term recurrence T_{N+1} = 2 t T_N - T_{N-1}."""
-    if N < 0:
-        raise ContractError("N must be >= 0")
-    t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    if N == 0:
-        return prev if prev.ndim else float(prev)
-    cur = t.copy()
-    for _ in range(N - 1):
-        prev, cur = cur, 2 * t * cur - prev
-    return cur if cur.ndim else float(cur)
 
 
 @dataclass(frozen=True)
@@ -95,10 +81,9 @@ def chebyshev_nodes(k: int, R: float = 1.0) -> np.ndarray:
 
 def minimax_poly(k: int, R: float = 1.0) -> MinimaxPoly:
     """The polynomial p(t) = ((-1)^m/(2m+1)) (R/t) T_{2m+1}(t/R), m = floor(k/2)."""
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    if not R > 0:
-        raise ContractError("R must be > 0")
+    check_count("k", k, 1)
+    if not 0 < R < math.inf:
+        raise ContractError(f"R must be finite and > 0, got {R!r}")
     m = k // 2
     return MinimaxPoly(k=k, m=m, R=R, m_star=R / (2 * m + 1))
 
@@ -171,8 +156,7 @@ def dual_weights(k: int) -> np.ndarray:
     Weights are scale-free in R.  They are checked in the Chebyshev basis;
     failure raises CertificateError.
     """
-    if k < 1:
-        raise ContractError("k must be >= 1")
+    check_count("k", k, 1)
     t = chebyshev_nodes(k, 1.0)
     mu = 1.0 / t**2
     mu[[0, -1]] *= 0.5
@@ -255,10 +239,13 @@ def _embed_saddle(n: int, a_diag: np.ndarray, b: np.ndarray, c: np.ndarray, R: f
 
 
 def _check_sizes(k: int, n: int, R: float, D: float) -> None:
-    if k < 1 or n < k + 2:
-        raise ContractError(f"need k >= 1 and n >= k + 2, got k={k}, n={n}")
-    if not (0 < R < np.inf and 0 <= D < np.inf):
-        raise ContractError(f"need finite R > 0 and D >= 0, got R={R}, D={D}")
+    check_count("k", k, 1)
+    check_count("n", n, 1)
+    if n < k + 2:
+        raise ContractError(f"need n >= k + 2, got k={k}, n={n}")
+    # b = diag * x_star is bounded by R D, so a finite R D keeps it finite
+    if not (0 < R < math.inf and 0 <= D < math.inf and math.isfinite(float(R) * float(D))):
+        raise ContractError(f"need finite R > 0 and D >= 0 with R*D finite, got R={R}, D={D}")
 
 
 def build_hard_instance(k: int, R: float = 1.0, D: float = 1.0, n: int | None = None) -> HardInstance:
@@ -312,14 +299,17 @@ def krylov_min_residual(A: np.ndarray, b: np.ndarray, k: int) -> float:
     If the Krylov space degenerates early, the minimum over the achieved
     subspace is returned.
     """
-    if k < 1:
-        raise ContractError("k must be >= 1")
+    check_count("k", k, 1)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if not b.any():
         return 0.0
     Q = _krylov_basis(lambda v: A @ v, b, k)
-    AQ = A @ Q
+    return _lstsq_residual(A @ Q, b)
+
+
+def _lstsq_residual(AQ: np.ndarray, b: np.ndarray) -> float:
+    """min over c of ||AQ c - b||^2, with A Q given and c from least squares."""
     coef, *_ = np.linalg.lstsq(AQ, b, rcond=None)
     r = AQ @ coef - b
     return float(r @ r)
@@ -335,13 +325,41 @@ def chebyshev_solver(B: np.ndarray, v: np.ndarray, k: int, R: float) -> np.ndarr
     ||B z - v||^2 <= R^2 D^2 / (2m+1)^2 whenever v = B z_star with
     ||z_star|| <= D.
     """
-    if k < 1 or not R > 0:
-        raise ContractError("k must be >= 1 and R > 0")
+    check_count("k", k, 1)
+    if not 0 < R < math.inf:
+        raise ContractError(f"R must be finite and > 0, got {R!r}")
     B = np.asarray(B, dtype=float)
     v = np.asarray(v, dtype=float)
     if k < 2:
         return np.zeros(B.shape[1])
     return _semi_iterate(k // 2, R, v, lambda u: B @ u, lambda u: B.T @ u)[0]
+
+
+def sandwich(instance: HardInstance) -> tuple[float, float, float]:
+    """(closed form, Krylov optimum, Chebyshev residual) at the instance's depth k.
+
+    The closed form is R^2 D^2/(2m+1)^2; the Krylov optimum is the least
+    squares residual over the first k columns of ``krylov_basis``; the
+    Chebyshev residual is ||A z - b||^2 at the semi-iteration's m-th iterate
+    (z = 0 for k < 2).  A is applied as its diagonal, so no dense matrix and
+    no second basis is built, and the values are bit for bit those of
+    ``krylov_min_residual`` and ``chebyshev_solver`` on ``instance.A``.  A
+    closed form that is not a finite float > 0 (D = 0, or R^2 D^2 out of
+    range) raises ContractError.
+    """
+    R, D, m, d, b = float(instance.R), float(instance.D), instance.m, instance.diag, instance.b
+    try:
+        target = R**2 * D**2 / (2 * m + 1) ** 2
+    except OverflowError:
+        target = math.inf
+    if not 0 < target < math.inf:
+        raise ContractError(
+            f"closed form R^2 D^2/(2m+1)^2 is {target} for R={R}, D={D}: "
+            "need a finite float > 0"
+        )
+    kry = _lstsq_residual(d[:, None] * instance.krylov_basis[:, : instance.k], b)
+    z = _semi_iterate(m, R, b, lambda u: d * u, lambda u: d * u)[0]
+    return target, kry, float(np.sum((d * z - b) ** 2))
 
 
 @dataclass(frozen=True)
@@ -351,7 +369,6 @@ class StepCheck:
     grad_sq: float
     floor: float
     margin: float
-    per_depth_bound: float
     in_span: bool
 
 
@@ -393,10 +410,6 @@ def verify_lower_bound(
     form the columns of B, C = Q^T B has its rows at and beyond each
     column's budget zeroed, and the column norms of B - Q C are compared
     against the tolerance.
-
-    The per-depth curve R^2 D_z^2/(2 floor(e_j/2)+1)^2 is reported for
-    information only: the depth-k instance does not (and can not) enforce it
-    at intermediate depths.
     """
     k = instance.k if k is None else k
     check_count("k", k, 1)
@@ -446,10 +459,9 @@ def verify_lower_bound(
         j = int(trace.stored_ks[idx])
         e = int(budgets[idx])
         gsq = float(trace.grad_sq[j])
-        per_depth = instance.R**2 * Dz2 / (2 * (e // 2) + 1) ** 2
         ok = gsq >= floor * (1 - 1e-9)
         verdict &= ok
-        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, per_depth, ok_span))
+        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, ok_span))
     if not in_span.all():
         return LowerBoundReport(
             steps, False, False, floor,

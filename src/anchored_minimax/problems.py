@@ -172,6 +172,10 @@ def make_bilinear(scale: float = 1.0) -> SaddleProblem:
     )
 
 
+class _SingularDraw(ContractError):
+    """A drawn operator matrix is singular, so no saddle point is recorded."""
+
+
 def _monotone_linear_problem(
     P1: np.ndarray, P2: np.ndarray, C: np.ndarray, v: np.ndarray, R: float, name: str
 ) -> SaddleProblem:
@@ -190,11 +194,11 @@ def _monotone_linear_problem(
     M = M * (R / nrm)
     try:
         zs = np.linalg.solve(M, -v)
-        if np.linalg.norm(M @ zs + v) > 1e-10 * max(1.0, R * np.linalg.norm(zs)):
+        if not np.linalg.norm(M @ zs + v) <= 1e-10 * max(1.0, R * np.linalg.norm(zs)):
             raise np.linalg.LinAlgError("inaccurate solve")
         saddle = Point(zs, nx)
     except np.linalg.LinAlgError as exc:
-        raise ContractError(f"operator matrix is singular; no recorded saddle ({exc})")
+        raise _SingularDraw(f"operator matrix is singular; no recorded saddle ({exc})")
 
     def op(z: np.ndarray) -> np.ndarray:
         return M @ z + v
@@ -225,10 +229,12 @@ def make_random_monotone(n: int, R: float = 1.0, seed: int = 0) -> SaddleProblem
 
     Diagonal blocks are random Gram matrices, the coupling block is dense
     Gaussian. If the matrix comes out singular with an incompatible offset
-    (no saddle exists), the draw is retried with a shifted seed.
+    (no saddle exists), the draw is retried with a shifted seed; n and R are
+    checked first, so a bad one raises ContractError instead of a retry.
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
+    check_count("n", n, 1)
+    if not 0 < R < math.inf:
+        raise ContractError(f"R must be finite and > 0, got {R!r}")
     attempt = seed
     while True:
         rng = np.random.default_rng(attempt)
@@ -242,7 +248,7 @@ def make_random_monotone(n: int, R: float = 1.0, seed: int = 0) -> SaddleProblem
             return _monotone_linear_problem(
                 P1, P2, C, v, R, f"random-monotone-{n}-{seed}"
             )
-        except ContractError:
+        except _SingularDraw:
             attempt += 10_000
 
 

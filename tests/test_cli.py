@@ -15,6 +15,7 @@ from anchored_minimax import (
     check_eag_c_stepsize,
     cli,
     eag_v_alpha_limit,
+    lowerbound,
     make_bilinear,
     run,
     theoretical_bound,
@@ -511,6 +512,25 @@ class TestLowerboundCommand:
         assert code == 0
         assert "eag-v on hard instance: PASS" in out
 
+    def test_one_basis_and_no_dense_matrix(self, monkeypatch, capsys):
+        # the sandwich and the span check share the instance's basis and
+        # apply A as its diagonal
+        builds = []
+        build = lowerbound._krylov_basis
+
+        def counted(*args):
+            builds.append(args[2])
+            return build(*args)
+
+        monkeypatch.setattr(lowerbound, "_krylov_basis", counted)
+        monkeypatch.setattr(
+            lowerbound.HardInstance, "A", property(lambda self: pytest.fail("read A"))
+        )
+        code, out, _ = invoke(["lowerbound", "--k", "64", "--algo", "popov"], capsys)
+        assert code == 0
+        assert "popov on hard instance: PASS" in out
+        assert len(builds) == 1
+
 
 class TestFlowCommand:
     def test_anchored_deviation_column(self, tmp_path, capsys):
@@ -625,10 +645,14 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
         (["run", "--problem", "bilinear-unit", "--algo", "eg", "--alpha", "inf"],
          2, "error: "),
         (["flow", "--kind", "anchored", "--t-end", "inf"], 2, "error: "),
+        (["lowerbound", "--k", "4", "--D", "0"], 2, "error: "),
+        (["lowerbound", "--k", "4", "--D", "1e-200"], 2, "error: "),
+        (["lowerbound", "--k", "4", "--R", "1e200", "--D", "1e200"], 2, "error: "),
     ],
     ids=["run-eag-v-step", "lowerbound-eag-v-step", "lowerbound-eg-zero-step",
          "flow-eag-v-step", "flow-eg-zero-step", "flow-divergence",
-         "preset-not-an-int", "config-choice", "run-infinite-step", "flow-infinite-end"],
+         "preset-not-an-int", "config-choice", "run-infinite-step", "flow-infinite-end",
+         "lowerbound-zero-D", "lowerbound-underflow-D", "lowerbound-overflow-RD"],
 )
 def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
     # a real process, so an escaping exception shows as its traceback
@@ -643,6 +667,7 @@ def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
     assert proc.returncode == code
     assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_dense_run_holds_no_iterates(tmp_path):

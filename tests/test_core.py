@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,10 @@ class TestMonotone:
         rep = check_monotone(p, pairs, tol=1e-12)
         assert rep.passed
 
+    def test_no_pairs_is_not_a_pass(self):
+        with pytest.raises(ContractError, match="len\\(pairs\\) must be an integer >= 1"):
+            check_monotone(make_bilinear(1.0), [])
+
 
 class TestLipschitz:
     def test_bilinear_is_isometric(self):
@@ -195,6 +201,11 @@ class TestLipschitz:
             estimate_lipschitz(p, samples=5, radius=0.0, seed=0)
         with pytest.raises(ContractError):
             estimate_lipschitz(p, samples=5, radius=np.inf, seed=0)
+
+    @pytest.mark.parametrize("samples", [True, 2.5])
+    def test_samples_must_be_a_count(self, samples):
+        with pytest.raises(ContractError, match="samples must be an integer >= 1"):
+            estimate_lipschitz(make_bilinear(1.0), samples=samples, radius=1.0, seed=0)
 
     def test_non_finite_operator_gives_infinite_estimate(self):
         # a NaN ratio would drop out of max() and leave any declared R honest
@@ -235,6 +246,10 @@ class TestFiniteDifferences:
         with pytest.raises(ContractError):
             check_gradient(p, [p.point([1.0, 0.0])])
 
+    def test_no_points_is_not_a_pass(self):
+        with pytest.raises(ContractError, match="len\\(points\\) must be an integer >= 1"):
+            check_gradient(make_bilinear(1.0), [])
+
 
 def test_saddle_point_validated_at_construction():
     with pytest.raises(ContractError):
@@ -246,6 +261,33 @@ def test_saddle_point_validated_at_construction():
             lipschitz=1.0,
             saddle_point=Point(np.array([1.0, 1.0]), 1),
         )
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
+def test_declared_lipschitz_must_be_finite_and_positive(R):
+    with pytest.raises(ContractError, match="lipschitz constant R must be finite and > 0"):
+        SaddleProblem("rotation", 1, 1, lambda z: np.array([z[1], -z[0]]), R)
+
+
+def test_nan_residual_at_declared_saddle_is_rejected():
+    # NaN > tol is false, so the check must be one that a NaN residual fails
+    with pytest.raises(ContractError, match="declared saddle point"):
+        SaddleProblem(
+            name="nan-at-origin",
+            dim_x=1,
+            dim_y=1,
+            operator=lambda z: np.full(2, np.nan),
+            lipschitz=1.0,
+            saddle_point=Point(np.zeros(2), 1),
+        )
+
+
+def test_infinite_bilinear_scale_is_rejected(recwarn):
+    # R = inf is rejected before the operator runs: inf * 0 at the saddle
+    # would give a NaN residual and a RuntimeWarning
+    with pytest.raises(ContractError):
+        make_bilinear(math.inf)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_random_monotone_block_form():

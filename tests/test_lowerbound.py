@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from anchored_minimax import (
     ContractError,
     Point,
     build_hard_instance,
-    chebyshev_eval,
     chebyshev_nodes,
     chebyshev_solver,
     dual_weights,
@@ -21,6 +21,7 @@ from anchored_minimax import (
     load_instance,
     minimax_poly,
     run,
+    sandwich,
     save_instance,
     verify_lower_bound,
 )
@@ -62,35 +63,15 @@ def reference_report(instance, trace, k=None, span_tol=1e-8):
         gsq = float(trace.grad_sq[j])
         ok_span = in_span(z[:n] - z0[:n], e) and in_span(z[n:] - z0[n:], e)
         all_in_span &= ok_span
-        per_depth = instance.R**2 * Dz2 / (2 * (e // 2) + 1) ** 2
         ok = gsq >= floor * (1 - 1e-9)
         verdict &= ok
-        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, per_depth, ok_span))
+        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, ok_span))
     if not all_in_span:
         return LowerBoundReport(
             steps, False, False, floor,
             "trace left the reachable Krylov span; the bound does not apply",
         )
     return LowerBoundReport(steps, True, verdict, floor)
-
-
-class TestChebyshev:
-    def test_base_cases(self):
-        assert chebyshev_eval(0, 0.3) == 1.0
-        assert chebyshev_eval(1, 0.3) == 0.3
-        assert chebyshev_eval(2, 0.5) == pytest.approx(-0.5)
-
-    def test_cubic_coefficients(self):
-        # T_3 = 4t^3 - 3t: the odd leading pattern gives linear coefficient -3
-        t = np.linspace(-1, 1, 7)
-        assert np.allclose(chebyshev_eval(3, t), 4 * t**3 - 3 * t, atol=1e-14)
-
-    def test_trigonometric_identity(self):
-        rng = np.random.default_rng(0)
-        for theta in rng.uniform(0, np.pi, size=100):
-            assert chebyshev_eval(5, np.cos(theta)) == pytest.approx(
-                np.cos(5 * theta), abs=1e-12
-            )
 
 
 class TestMinimaxPoly:
@@ -152,10 +133,22 @@ class TestMinimaxPoly:
             vals_even = grid * np.polyval(even[::-1], grid)
             assert np.abs(vals_even).max() <= np.abs(vals).max() + 1e-12
 
+    @pytest.mark.parametrize(
+        "k, R", [(True, 1.0), (2.5, 1.0), (0, 1.0), (3, math.inf), (3, math.nan), (3, 0.0)]
+    )
+    def test_rejects_bad_depth_or_radius(self, k, R):
+        with pytest.raises(ContractError):
+            minimax_poly(k, R)
+
 
 class TestDualWeights:
     def test_two_point_symmetric_case(self):
         assert np.allclose(dual_weights(1), [0.5, 0.5], atol=1e-14)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 0])
+    def test_rejects_a_depth_that_is_not_a_count(self, k):
+        with pytest.raises(ContractError, match="k must be an integer >= 1"):
+            dual_weights(k)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_simplex_and_symmetry(self, k):
@@ -252,6 +245,16 @@ class TestHardInstance:
         with pytest.raises(ContractError):
             build_hard_instance(4, n=5)
 
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((True,), {}), ((2.5,), {}), ((4,), {"n": 6.0}), ((4,), {"n": True}),
+         ((4,), {"R": 1e200, "D": 1e200})],
+        ids=["bool-k", "float-k", "float-n", "bool-n", "R-times-D-overflows"],
+    )
+    def test_rejects_bad_sizes_before_building(self, args, kwargs):
+        with pytest.raises(ContractError):
+            build_hard_instance(*args, **kwargs)
+
     def test_roundtrip_export(self, tmp_path):
         inst = build_hard_instance(7, R=1.5, D=0.5, n=12)
         path = tmp_path / "instance.txt"
@@ -315,18 +318,31 @@ class TestHardInstance:
             load_instance(path)
 
 
-@pytest.mark.parametrize("k", [*range(11, 65), 128, 256, 512, 1000])
+@pytest.mark.parametrize("k", [*range(1, 65), 128, 256, 512, 1000])
 def test_three_way_sandwich_at_depth(k):
     rng = np.random.default_rng(k)
     R, D = rng.uniform(0.5, 2.0, size=2)
     n = k + 2 + int(rng.integers(0, 5))
     inst = build_hard_instance(k, R, D, n)
+    # the dense reference: n x n A, a basis of its own, dense products
     target = R**2 * D**2 / (2 * (k // 2) + 1) ** 2
     kry = krylov_min_residual(inst.A, inst.b, k)
     z = chebyshev_solver(inst.A, inst.b, k, R)
     cheb = float(np.sum((inst.A @ z - inst.b) ** 2))
+    assert sandwich(inst) == (target, kry, cheb)
     assert kry == pytest.approx(target, rel=1e-8)
     assert cheb == pytest.approx(target, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "R, D, value",
+    [(1.0, 0.0, "0.0"), (1.0, 1e-200, "0.0"), (1e-200, 1.0, "0.0"), (1e200, 1e-100, "inf")],
+    ids=["zero-D", "underflow-D", "underflow-R", "overflow-R-squared"],
+)
+def test_sandwich_rejects_a_closed_form_out_of_range(R, D, value):
+    inst = build_hard_instance(4, R, D)
+    with pytest.raises(ContractError, match=re.escape(f"(2m+1)^2 is {value} for R=")):
+        sandwich(inst)
 
 
 class TestKrylovOracle:
@@ -351,9 +367,10 @@ class TestKrylovOracle:
             target, rel=1e-8
         )
 
-    def test_rejects_bad_depth(self):
+    @pytest.mark.parametrize("k", [0, True, 2.5])
+    def test_rejects_bad_depth(self, k):
         with pytest.raises(ContractError):
-            krylov_min_residual(np.eye(2), np.ones(2), 0)
+            krylov_min_residual(np.eye(2), np.ones(2), k)
 
     def test_basis_stays_orthonormal_on_ill_conditioned_spectrum(self):
         # a single Gram-Schmidt pass drifts to ~1e-7 here; the second pass
@@ -385,6 +402,14 @@ def test_cached_basis_prefix_is_a_shallow_build(k, extra):
 
 
 class TestChebyshevSolver:
+    @pytest.mark.parametrize(
+        "k, R", [(4, math.inf), (4, math.nan), (4, 0.0), (True, 1.0), (2.5, 1.0), (0, 1.0)]
+    )
+    def test_rejects_bad_depth_or_radius(self, k, R):
+        # with R = inf every step's 2/R^2 is 0 and the iterate stays zero
+        with pytest.raises(ContractError):
+            chebyshev_solver(np.eye(2), np.ones(2), k, R)
+
     def test_depth_one_returns_zero(self):
         B = np.diag([0.3, -0.8])
         zstar = np.array([1.0, 1.0])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchored_minimax
 from anchored_minimax import (
     AlgoConfig,
     AlgoKind,
@@ -282,6 +286,28 @@ class TestBilinearAndRandom:
         a = make_random_monotone(5, seed=9)
         b = make_random_monotone(5, seed=9)
         assert np.array_equal(a.metadata["matrix"], b.metadata["matrix"])
+
+    def test_random_monotone_rejects_bad_size_or_norm(self):
+        # in a subprocess with a timeout, so a retry loop that never ends
+        # fails the test instead of hanging it
+        script = (
+            "import math\n"
+            "from anchored_minimax import ContractError, make_random_monotone\n"
+            "for n, R in [(4, math.inf), (4, 0.0), (4, -1.0), (4, math.nan),\n"
+            "             (True, 1.0), (2.5, 1.0), (0, 1.0)]:\n"
+            "    try:\n"
+            "        make_random_monotone(n, R)\n"
+            "        print('built', n, R)\n"
+            "    except ContractError:\n"
+            "        print('rejected')\n"
+        )
+        src = os.path.dirname(os.path.dirname(anchored_minimax.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout.split("\n") == ["rejected"] * 7 + [""], proc.stdout + proc.stderr
 
 
 class TestClosedFormFlows:
