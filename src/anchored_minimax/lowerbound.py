@@ -7,7 +7,8 @@ independent ways, which must agree (``sandwich`` returns all three):
   polynomials with p(0) = 1, built from an odd Chebyshev polynomial and
   certified by closed-form dual weights on its 2m+2 extremal nodes,
 * the exact minimum residual over the order-(k-1) Krylov subspace of the
-  constructed hard instance (least squares on an orthonormal basis), and
+  constructed hard instance (least squares on the instance's orthonormal
+  basis, a weighted DCT-I matrix in closed form), and
 * the residual of the optimal polynomial solver (the Chebyshev
   semi-iterative method), which attains the floor on every matrix of
   norm <= R.
@@ -25,8 +26,11 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,10 +86,20 @@ def chebyshev_nodes(k: int, R: float = 1.0) -> np.ndarray:
 def minimax_poly(k: int, R: float = 1.0) -> MinimaxPoly:
     """The polynomial p(t) = ((-1)^m/(2m+1)) (R/t) T_{2m+1}(t/R), m = floor(k/2)."""
     check_count("k", k, 1)
-    if not 0 < R < math.inf:
-        raise ContractError(f"R must be finite and > 0, got {R!r}")
+    _check_radius(R)
     m = k // 2
     return MinimaxPoly(k=k, m=m, R=R, m_star=R / (2 * m + 1))
+
+
+def _check_radius(R) -> None:
+    """R must be finite and > 0, with R^2 and the semi-iteration's 2/R^2 finite.
+
+    Both are checked as products, which give inf where a power would raise
+    OverflowError.
+    """
+    r2 = float(R) * float(R) if 0 < R <= sys.float_info.max else 0.0
+    if not (0 < r2 < math.inf and 2 / r2 < math.inf):
+        raise ContractError(f"need finite R > 0 with R^2 and 2/R^2 finite, got R={R!r}")
 
 
 def _semi_iterate(m: int, R: float, v, B, Bt):
@@ -131,9 +145,10 @@ def _kkt_residual_cheb(mu: np.ndarray, k: int) -> float:
     w = mu * s * t
     x = np.append(t, 0.0)
     T_prev, T = np.ones_like(x), x
+    w_sum = w.sum()
     stationarity = []
     for _ in range(2 * m):
-        stationarity.append(T[:-1] @ w - T[-1] * w.sum())
+        stationarity.append(T[:-1] @ w - T[-1] * w_sum)
         T_prev, T = T, 2 * x * T - T_prev
     pv = _minimax_values(m, 1.0, t)
     res = np.abs([
@@ -176,6 +191,8 @@ class HardInstance:
     minimum-norm solution of A x = b, and ``saddle`` the biaffine problem
     <A x - b, y - c> with c = x_star, whose saddle point nearest the origin
     is (x_star, x_star).  ``krylov_basis`` is built on first use and kept.
+    Instances come from ``build_hard_instance`` or ``load_instance``, which
+    both assemble the canonical nodes and weights.
     """
 
     k: int
@@ -201,13 +218,26 @@ class HardInstance:
     def krylov_basis(self) -> np.ndarray:
         """Read-only orthonormal basis of the whole Krylov space of (A, b).
 
-        b lives on the 2m+2 distinct eigenvalues ``lambdas``, so the space
-        has dimension 2m+2 and a build to depth 2 len(lambdas) (capped at n)
-        stops once it is exhausted.  The leading d columns are those of a
-        depth-d build, so one basis serves every depth.
+        b_i^2 are the Chebyshev-Lobatto quadrature weights of the nodes
+        lambdas / R, at which Chebyshev polynomials are discretely
+        orthogonal (Mason & Handscomb, Chebyshev Polynomials, 2003).  So the
+        columns q_j proportional to b * T_j(A/R), j = 0..2m+1, with the
+        signs Gram-Schmidt gives, are orthonormal: the weighted DCT-I matrix
+        of ``_dct1_basis``.  The leading d columns span the depth-d space, so
+        one basis serves every depth.  Before it is kept, it is checked
+        against the instance's own arrays (``_krylov_residual``); a residual
+        past 1e-12 raises CertificateError.  A zero b gets no columns.
         """
-        depth = min(self.n, 2 * len(self.lambdas))
-        Q = _krylov_basis(lambda v: self.diag * v, self.b, depth)
+        if not self.b.any():
+            Q = np.zeros((self.n, 0))
+        else:
+            Q = _dct1_basis(self.n, self.m)
+            res = _krylov_residual(Q, self.lambdas / self.R, self.b)
+            if not res <= 1e-12:
+                raise CertificateError(
+                    f"closed-form Krylov basis for k={self.k} does not span the Krylov "
+                    f"space of this instance (residual {res:.2e})"
+                )
         Q.flags.writeable = False
         return Q
 
@@ -239,13 +269,24 @@ def _embed_saddle(n: int, a_diag: np.ndarray, b: np.ndarray, c: np.ndarray, R: f
 
 
 def _check_sizes(k: int, n: int, R: float, D: float) -> None:
+    """Counts, and R and D whose derived quantities are all finite floats.
+
+    Besides R^2 and 2/R^2 (``_check_radius``), the layer forms 2 D^2
+    (||z*||^2) and the floor 2 R^2 D^2/(2m+1)^2, in that order of
+    operations; |b| <= R D follows.
+    """
     check_count("k", k, 1)
     check_count("n", n, 1)
     if n < k + 2:
         raise ContractError(f"need n >= k + 2, got k={k}, n={n}")
-    # b = diag * x_star is bounded by R D, so a finite R D keeps it finite
-    if not (0 < R < math.inf and 0 <= D < math.inf and math.isfinite(float(R) * float(D))):
-        raise ContractError(f"need finite R > 0 and D >= 0 with R*D finite, got R={R}, D={D}")
+    _check_radius(R)
+    N = 2 * (k // 2) + 1
+    dz2 = 2 * (float(D) * float(D)) if 0 <= D <= sys.float_info.max else math.inf
+    if not float(R) * float(R) * dz2 / (N * N) < math.inf:
+        raise ContractError(
+            f"need finite D >= 0 with 2 D^2 and the floor 2 R^2 D^2/(2m+1)^2 finite, "
+            f"got R={R}, D={D}"
+        )
 
 
 def build_hard_instance(k: int, R: float = 1.0, D: float = 1.0, n: int | None = None) -> HardInstance:
@@ -267,6 +308,71 @@ def _assemble_instance(k, n, R, D, lam, mu) -> HardInstance:
         mu=np.asarray(mu, dtype=float),
         x_star=x_star, b=b, saddle=_embed_saddle(n, diag, b, x_star, R, k),
     )
+
+
+# Entries per temporary of ``_dct1_basis`` and ``_krylov_residual``, which
+# work a block of rows or columns at a time.  At 128 KB a temporary adds
+# nothing to the peak RSS of a deep ``lowerbound`` run; blocks of 64 columns
+# (0.5 MB at k = 1000) added about 0.6 MB to it.
+_BASIS_BLOCK_ENTRIES = 2**14
+
+
+def _dct1_basis(n: int, m: int) -> np.ndarray:
+    """The weighted DCT-I matrix Q[i, j] = sign(t_i) sqrt(delta_i) cos(j theta_i) / sqrt(c_j).
+
+    N = 2m+1, theta_i = (N-i) pi / N and t_i = cos(theta_i) on the N+1
+    support rows, zero rows beyond; delta_i = 1/2 at i in {0, N} and 1
+    otherwise, c_j = N at j in {0, N} and N/2 otherwise.  Each cosine is
+    cos(pi r / N) with r = (N-i) j mod 2N reduced in integers, since
+    cos(j theta_i) would carry an argument error growing with j; the 2N
+    distinct values are computed once and gathered.  Returns an (n, N+1)
+    array.
+    """
+    N = 2 * m + 1
+    cosines = np.cos(np.arange(2 * N) * np.pi / N)
+    i = np.arange(N + 1)
+    row = np.where(i <= m, -1.0, 1.0)  # sign(t_i): t_i < 0 exactly for i <= m
+    row[0] = -math.sqrt(0.5)
+    row[N] = math.sqrt(0.5)
+    col = np.full(N + 1, math.sqrt(2 / N))
+    col[0] = col[N] = math.sqrt(1 / N)
+    Q = np.zeros((n, N + 1))
+    block = max(1, _BASIS_BLOCK_ENTRIES // (N + 1))
+    for lo in range(0, N + 1, block):
+        r = (N - i[lo : lo + block, None]) * i
+        r %= 2 * N
+        S = Q[lo : lo + len(r)]
+        np.take(cosines, r, out=S)
+        S *= row[lo : lo + len(r), None]
+        S *= col
+    return Q
+
+
+def _krylov_residual(Q: np.ndarray, t: np.ndarray, b: np.ndarray) -> float:
+    """Worst deviation of Q from the orthonormal Krylov basis of (diag(t), b).
+
+    ``t`` is the instance's diagonal on the N+1 support rows divided by R.
+    Checks that column 0 is b/||b|| on all rows, and that on the support
+    t * q_j = (s_{j-1} q_{j-1} + s_{j+1} q_{j+1}) / (2 s_j), s = sqrt(c), which
+    is t T_j = (T_{j-1} + T_{j+1})/2 with T_{-1} = T_1 and, at the Lobatto
+    nodes, T_{N+1} = T_{N-1}.  By induction the leading d columns then span
+    the depth-d Krylov space of these floats.  O(n N), in column blocks.
+    """
+    N = len(t) - 1
+    bs = b / np.abs(b).max()  # no overflow or underflow in the norm
+    res = float(np.abs(Q[:, 0] - bs / math.sqrt(bs.dot(bs))).max())
+    s = np.full(N + 1, math.sqrt(N / 2))
+    s[0] = s[N] = math.sqrt(N)
+    nb = np.abs(np.arange(-1, N + 2))  # column j's neighbours sit at j and j+2
+    nb[-1] = N - 1
+    block = max(1, _BASIS_BLOCK_ENTRIES // (N + 1))
+    for lo in range(0, N + 1, block):
+        hi = min(lo + block, N + 1)
+        W = Q[: N + 1, nb[lo : hi + 2]] * s[nb[lo : hi + 2]]
+        d = t[:, None] * Q[: N + 1, lo:hi]
+        d -= (W[:, :-2] + W[:, 2:]) / (2 * s[lo:hi])
+        res = max(res, float(np.abs(d).max()))
+    return res
 
 
 def _krylov_basis(apply, b: np.ndarray, depth: int) -> np.ndarray:
@@ -326,8 +432,7 @@ def chebyshev_solver(B: np.ndarray, v: np.ndarray, k: int, R: float) -> np.ndarr
     ||z_star|| <= D.
     """
     check_count("k", k, 1)
-    if not 0 < R < math.inf:
-        raise ContractError(f"R must be finite and > 0, got {R!r}")
+    _check_radius(R)
     B = np.asarray(B, dtype=float)
     v = np.asarray(v, dtype=float)
     if k < 2:
@@ -341,17 +446,18 @@ def sandwich(instance: HardInstance) -> tuple[float, float, float]:
     The closed form is R^2 D^2/(2m+1)^2; the Krylov optimum is the least
     squares residual over the first k columns of ``krylov_basis``; the
     Chebyshev residual is ||A z - b||^2 at the semi-iteration's m-th iterate
-    (z = 0 for k < 2).  A is applied as its diagonal, so no dense matrix and
-    no second basis is built, and the values are bit for bit those of
-    ``krylov_min_residual`` and ``chebyshev_solver`` on ``instance.A``.  A
-    closed form that is not a finite float > 0 (D = 0, or R^2 D^2 out of
-    range) raises ContractError.
+    (z = 0 for k < 2).  A is applied as its diagonal, so no dense matrix is
+    built.  The closed form and the Chebyshev residual are bit for bit those
+    of the dense reference (``chebyshev_solver`` on ``instance.A``).  The
+    basis comes from Chebyshev theory, but the Krylov leg still solves a
+    numerical least squares over it, on the instance's own diag and b, so
+    its agreement with the other two legs tests the basis, the nodes and
+    the weights together; it matches ``krylov_min_residual`` (a CGS2 basis
+    of its own) to rounding.  A closed form that is not a finite float > 0
+    (D = 0, or R^2 D^2 underflowing) raises ContractError.
     """
     R, D, m, d, b = float(instance.R), float(instance.D), instance.m, instance.diag, instance.b
-    try:
-        target = R**2 * D**2 / (2 * m + 1) ** 2
-    except OverflowError:
-        target = math.inf
+    target = R**2 * D**2 / (2 * m + 1) ** 2
     if not 0 < target < math.inf:
         raise ContractError(
             f"closed form R^2 D^2/(2m+1)^2 is {target} for R={R}, D={D}: "
@@ -362,8 +468,7 @@ def sandwich(instance: HardInstance) -> tuple[float, float, float]:
     return target, kry, float(np.sum((d * z - b) ** 2))
 
 
-@dataclass(frozen=True)
-class StepCheck:
+class StepCheck(NamedTuple):
     k_iter: int
     span_used: int
     grad_sq: float
@@ -428,7 +533,7 @@ def verify_lower_bound(
     floor = instance.R**2 * Dz2 / (2 * (k // 2) + 1) ** 2
     if Dz2 == 0.0:
         return LowerBoundReport([], True, True, 0.0, "started at the saddle point; bound is trivially 0")
-    if np.linalg.norm(z0) > 1e-12 * (1.0 + np.linalg.norm(zs)):
+    if math.sqrt(z0.dot(z0)) > 1e-12 * (1.0 + math.sqrt(zs.dot(zs))):
         return LowerBoundReport(
             [], False, False, floor,
             "instance is built relative to z0 = 0; translate the problem first",
@@ -453,15 +558,13 @@ def verify_lower_bound(
         ok = (nrm == 0.0) | (resid <= span_tol * nrm)
         in_span[lo : lo + len(sel)] = ok.reshape(-1, 2).all(axis=1)
 
-    steps: list[StepCheck] = []
-    verdict = True
-    for idx, ok_span in zip(checked.tolist(), in_span.tolist()):
-        j = int(trace.stored_ks[idx])
-        e = int(budgets[idx])
-        gsq = float(trace.grad_sq[j])
-        ok = gsq >= floor * (1 - 1e-9)
-        verdict &= ok
-        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, ok_span))
+    ks = trace.stored_ks[checked]
+    gsq = trace.grad_sq[ks]
+    verdict = bool((gsq >= floor * (1 - 1e-9)).all())
+    steps = list(map(
+        StepCheck, ks.tolist(), budgets[checked].tolist(), gsq.tolist(),
+        repeat(floor), (gsq - floor).tolist(), in_span.tolist(),
+    ))
     if not in_span.all():
         return LowerBoundReport(
             steps, False, False, floor,
@@ -488,8 +591,19 @@ def _instance_text(instance: HardInstance) -> str:
     return buf.getvalue()
 
 
+# How far, in units in the last place, a loaded value may sit from the rebuilt
+# one: room for another machine's cos, far below any change to the instance.
+_LOAD_ULPS = 8
+
+
 def load_instance(path) -> HardInstance:
-    """Read a file written by ``save_instance``; bad fields raise ContractError."""
+    """Read a file written by ``save_instance``; bad fields raise ContractError.
+
+    The nodes and weights are rebuilt from the file's k and R; ``lambdas``
+    and ``mu`` in the file must match them to within ``_LOAD_ULPS`` ulps,
+    so only the canonical hard instance loads.  It is assembled from the
+    rebuilt values.
+    """
     fields: dict[str, str] = {}
     with open(path) as f:
         for line in f:
@@ -520,4 +634,11 @@ def load_instance(path) -> HardInstance:
             raise ContractError(f"instance field {key}: need {size} finite values, got {len(val)}")
     if mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-12:
         raise ContractError("instance field mu must be nonnegative and sum to 1 within 1e-12")
-    return _assemble_instance(k, n, R, D, lam, mu)
+    lam_ref, mu_ref = chebyshev_nodes(k, R), dual_weights(k)
+    for key, val, ref in (("lambdas", lam, lam_ref), ("mu", mu, mu_ref)):
+        if not np.all(np.abs(val - ref) <= _LOAD_ULPS * np.spacing(np.abs(ref))):
+            raise ContractError(
+                f"instance field {key} is not the hard instance's for k={k}, R={R!r}: "
+                f"more than {_LOAD_ULPS} ulps from the rebuilt values"
+            )
+    return _assemble_instance(k, n, R, D, lam_ref, mu_ref)

@@ -201,7 +201,7 @@ def _monotone_linear_problem(
         raise _SingularDraw(f"operator matrix is singular; no recorded saddle ({exc})")
 
     def op(z: np.ndarray) -> np.ndarray:
-        return M @ z + v
+        return M.dot(z) + v  # bit-equal to M @ z, without the matmul gufunc's overhead
 
     def val(z: np.ndarray) -> float:
         x, y = z[:nx], z[nx:]

@@ -513,16 +513,17 @@ class TestLowerboundCommand:
         assert "eag-v on hard instance: PASS" in out
 
     def test_one_basis_and_no_dense_matrix(self, monkeypatch, capsys):
-        # the sandwich and the span check share the instance's basis and
-        # apply A as its diagonal
+        # the sandwich and the span check share the instance's closed-form
+        # basis, build no Gram-Schmidt basis, and apply A as its diagonal
         builds = []
-        build = lowerbound._krylov_basis
+        build = lowerbound._dct1_basis
 
         def counted(*args):
-            builds.append(args[2])
+            builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(lowerbound, "_krylov_basis", counted)
+        monkeypatch.setattr(lowerbound, "_dct1_basis", counted)
+        monkeypatch.setattr(lowerbound, "_krylov_basis", lambda *a: pytest.fail("CGS2 build"))
         monkeypatch.setattr(
             lowerbound.HardInstance, "A", property(lambda self: pytest.fail("read A"))
         )
@@ -605,6 +606,8 @@ def test_instance_file_as_run_problem(tmp_path, capsys):
         ("lambdas", "-1,-0.5,0.5", "lambdas"),
         ("lambdas", "-1,nan,0.5,1", "lambdas"),
         ("mu", "-0.1,0.6,0.4,0.1", "mu"),
+        # nodes 5x the declared R
+        ("lambdas", "-5,-2.5,2.5,5", "lambdas is not the hard instance's"),
     ],
 )
 def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
@@ -648,11 +651,13 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
         (["lowerbound", "--k", "4", "--D", "0"], 2, "error: "),
         (["lowerbound", "--k", "4", "--D", "1e-200"], 2, "error: "),
         (["lowerbound", "--k", "4", "--R", "1e200", "--D", "1e200"], 2, "error: "),
+        (["lowerbound", "--k", "4", "--R", "1e-160", "--D", "1e160"], 2, "error: "),
     ],
     ids=["run-eag-v-step", "lowerbound-eag-v-step", "lowerbound-eg-zero-step",
          "flow-eag-v-step", "flow-eg-zero-step", "flow-divergence",
          "preset-not-an-int", "config-choice", "run-infinite-step", "flow-infinite-end",
-         "lowerbound-zero-D", "lowerbound-underflow-D", "lowerbound-overflow-RD"],
+         "lowerbound-zero-D", "lowerbound-underflow-D", "lowerbound-overflow-RD",
+         "lowerbound-overflow-D-squared"],
 )
 def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
     # a real process, so an escaping exception shows as its traceback

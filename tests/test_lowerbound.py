@@ -11,6 +11,7 @@ from numpy.polynomial.chebyshev import cheb2poly
 from anchored_minimax import (
     AlgoConfig,
     AlgoKind,
+    CertificateError,
     ContractError,
     Point,
     build_hard_instance,
@@ -29,6 +30,7 @@ from anchored_minimax import lowerbound
 from anchored_minimax.lowerbound import (
     LowerBoundReport,
     StepCheck,
+    _assemble_instance,
     _kkt_residual_cheb,
     _krylov_basis,
 )
@@ -134,9 +136,11 @@ class TestMinimaxPoly:
             assert np.abs(vals_even).max() <= np.abs(vals).max() + 1e-12
 
     @pytest.mark.parametrize(
-        "k, R", [(True, 1.0), (2.5, 1.0), (0, 1.0), (3, math.inf), (3, math.nan), (3, 0.0)]
+        "k, R", [(True, 1.0), (2.5, 1.0), (0, 1.0), (3, math.inf), (3, math.nan), (3, 0.0),
+                 (3, 1e200), (3, 1e-170)]
     )
     def test_rejects_bad_depth_or_radius(self, k, R):
+        # R^2 overflows at 1e200 and 2/R^2 at 1e-170
         with pytest.raises(ContractError):
             minimax_poly(k, R)
 
@@ -248,12 +252,31 @@ class TestHardInstance:
     @pytest.mark.parametrize(
         "args, kwargs",
         [((True,), {}), ((2.5,), {}), ((4,), {"n": 6.0}), ((4,), {"n": True}),
-         ((4,), {"R": 1e200, "D": 1e200})],
-        ids=["bool-k", "float-k", "float-n", "bool-n", "R-times-D-overflows"],
+         ((4,), {"R": 1e200, "D": 1e200}), ((4,), {"R": 1e200, "D": 1e-100}),
+         ((4,), {"R": 1e-200}), ((4,), {"R": 1e-160, "D": 1e160}),
+         ((1,), {"R": 1e77, "D": 1e77}), ((4,), {"R": 10**400}), ((4,), {"D": 10**400})],
+        ids=["bool-k", "float-k", "float-n", "bool-n", "R-times-D-overflows",
+             "R-squared-overflows", "two-over-R-squared-overflows", "D-squared-overflows",
+             "floor-overflows", "R-beyond-float", "D-beyond-float"],
     )
     def test_rejects_bad_sizes_before_building(self, args, kwargs):
         with pytest.raises(ContractError):
             build_hard_instance(*args, **kwargs)
+
+    def test_no_overflow_error_where_R_squared_overflows(self):
+        # R D = 1e100 is finite, but R^2 is not: the instance used to build,
+        # and then verify_lower_bound and chebyshev_solver raised OverflowError
+        with pytest.raises(ContractError, match=re.escape("R^2 and 2/R^2 finite")):
+            build_hard_instance(4, R=1e200, D=1e-100)
+        with pytest.raises(ContractError, match=re.escape("R^2 and 2/R^2 finite")):
+            chebyshev_solver(np.eye(6), np.ones(6), 4, 1e200)
+
+    def test_instance_that_builds_has_a_finite_floor(self):
+        # the largest R and D the size check lets through
+        inst = build_hard_instance(4, R=1.3e154, D=2.4e-1)
+        assert 0 < inst.floor < math.inf
+        inst = build_hard_instance(4, R=1.1e-154, D=1e153)
+        assert 0 < inst.floor < math.inf
 
     def test_roundtrip_export(self, tmp_path):
         inst = build_hard_instance(7, R=1.5, D=0.5, n=12)
@@ -317,6 +340,46 @@ class TestHardInstance:
         with pytest.raises(ContractError, match=re.escape(needle)):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [("lambdas", lambda v: 5 * v), ("lambdas", lambda v: v + 1e-9 * np.arange(len(v))),
+         ("mu", lambda v: np.roll(v, 1)), ("mu", lambda v: v * (1 + 1e-13))],
+        ids=["scaled-nodes", "nudged-nodes", "rolled-weights", "nudged-weights"],
+    )
+    def test_load_accepts_only_the_canonical_instance(self, tmp_path, field, change):
+        # a file whose nodes are 5x the declared R used to load, and EAG-V on
+        # it diverged to grad_sq = 2.5e76 next to a floor of 0.015
+        path = tmp_path / "tampered.txt"
+        save_instance(build_hard_instance(6), path)
+        lines = []
+        for line in path.read_text().splitlines():
+            if line.startswith(f"{field}="):
+                vals = change(np.array([float(v) for v in line.split("=")[1].split(",")]))
+                line = f"{field}=" + ",".join(f"{v:.17g}" for v in vals)
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        needle = f"instance field {field} is not the hard instance's"
+        with pytest.raises(ContractError, match=needle):
+            load_instance(path)
+
+    def test_load_allows_a_few_ulps(self, tmp_path):
+        # another machine's cos may round a node or weight differently
+        inst = build_hard_instance(6, R=1.3)
+        path = tmp_path / "ulps.txt"
+        save_instance(inst, path)
+        lines = []
+        for line in path.read_text().splitlines():
+            if line.startswith(("lambdas=", "mu=")):
+                key, _, text = line.partition("=")
+                vals = np.array([float(v) for v in text.split(",")])
+                vals = np.nextafter(np.nextafter(vals, np.inf), np.inf)
+                line = f"{key}=" + ",".join(f"{v:.17g}" for v in vals)
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_instance(path)
+        assert np.array_equal(loaded.lambdas, inst.lambdas)
+        assert np.array_equal(loaded.mu, inst.mu)
+
 
 @pytest.mark.parametrize("k", [*range(1, 65), 128, 256, 512, 1000])
 def test_three_way_sandwich_at_depth(k):
@@ -329,15 +392,26 @@ def test_three_way_sandwich_at_depth(k):
     kry = krylov_min_residual(inst.A, inst.b, k)
     z = chebyshev_solver(inst.A, inst.b, k, R)
     cheb = float(np.sum((inst.A @ z - inst.b) ** 2))
-    assert sandwich(inst) == (target, kry, cheb)
+    got_target, got_kry, got_cheb = sandwich(inst)
+    assert (got_target, got_cheb) == (target, cheb)
+    # the instance's closed-form basis is not CGS2's bit for bit
+    assert got_kry == pytest.approx(kry, rel=1e-13)
     assert kry == pytest.approx(target, rel=1e-8)
     assert cheb == pytest.approx(target, rel=1e-8)
 
 
+@pytest.mark.parametrize("k", [1000, 2000])
+def test_krylov_leg_sits_on_the_floor_at_deep_k(k):
+    # the closed-form basis takes its cosines at reduced arguments; without
+    # the reduction the leg sits about 6e-14 off the floor here
+    target, kry, _ = sandwich(build_hard_instance(k))
+    assert kry == pytest.approx(target, rel=2e-14)
+
+
 @pytest.mark.parametrize(
     "R, D, value",
-    [(1.0, 0.0, "0.0"), (1.0, 1e-200, "0.0"), (1e-200, 1.0, "0.0"), (1e200, 1e-100, "inf")],
-    ids=["zero-D", "underflow-D", "underflow-R", "overflow-R-squared"],
+    [(1.0, 0.0, "0.0"), (1.0, 1e-200, "0.0")],
+    ids=["zero-D", "underflow-D"],
 )
 def test_sandwich_rejects_a_closed_form_out_of_range(R, D, value):
     inst = build_hard_instance(4, R, D)
@@ -385,28 +459,55 @@ class TestKrylovOracle:
 @pytest.mark.parametrize("k", [1, 2, 5, 16, 33, 64, 128, 256])
 @pytest.mark.parametrize("extra", [0, 9])
 def test_cached_basis_prefix_is_a_shallow_build(k, extra):
-    # one basis per instance serves every depth only if its leading columns
-    # are bit for bit those the same builder gives at that depth
+    # the closed-form basis agrees with Gram-Schmidt on the instance's own
+    # arrays at every depth (4.4e-13 at k = 1000, measured; 3.7e-14 at 256)
     rng = np.random.default_rng(1000 * k + extra)
     R, D = (float(2.0 ** rng.uniform(-1, 1)) for _ in range(2))
     inst = build_hard_instance(k, R, D, n=k + 2 + extra)
     Q = inst.krylov_basis
     assert Q is inst.krylov_basis
-    assert Q.shape[1] <= min(inst.n, 2 * len(inst.lambdas))
+    assert Q.shape == (inst.n, len(inst.lambdas))
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-14
     for d in sorted({1, 2, max(1, k // 2), k, Q.shape[1], inst.n}):
         P = _krylov_basis(lambda v: inst.diag * v, inst.b, d)
         assert P.shape[1] == min(d, Q.shape[1])
-        assert np.array_equal(P, Q[:, : P.shape[1]])
+        assert np.abs(P - Q[:, : P.shape[1]]).max() < 1e-13
     with pytest.raises(ValueError):
         Q[0, 0] = 0.0
 
 
+def test_closed_form_basis_matches_gram_schmidt_at_depth_1000():
+    inst = build_hard_instance(1000, n=1005)
+    P = _krylov_basis(lambda v: inst.diag * v, inst.b, inst.n)
+    assert P.shape == inst.krylov_basis.shape
+    assert np.abs(P - inst.krylov_basis).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 6, 24, 64, 1000])
+def test_basis_of_a_moved_node_fails_its_check(k):
+    # the closed form holds only for the canonical nodes; one node moved by
+    # 1e-3 leaves a residual of 4.5e-5 (k = 1000) to 4.8e-4 (k = 6)
+    inst = build_hard_instance(k)
+    lam = inst.lambdas.copy()
+    lam[1] += 1e-3
+    moved = _assemble_instance(k, inst.n, inst.R, inst.D, lam, inst.mu)
+    with pytest.raises(CertificateError, match="does not span the Krylov space"):
+        moved.krylov_basis
+
+
+def test_zero_rhs_has_an_empty_basis():
+    inst = build_hard_instance(6, D=0.0)
+    assert inst.krylov_basis.shape == (inst.n, 0)
+
+
 class TestChebyshevSolver:
     @pytest.mark.parametrize(
-        "k, R", [(4, math.inf), (4, math.nan), (4, 0.0), (True, 1.0), (2.5, 1.0), (0, 1.0)]
+        "k, R", [(4, math.inf), (4, math.nan), (4, 0.0), (True, 1.0), (2.5, 1.0), (0, 1.0),
+                 (4, 1e200), (4, 1e-170)]
     )
     def test_rejects_bad_depth_or_radius(self, k, R):
-        # with R = inf every step's 2/R^2 is 0 and the iterate stays zero
+        # with R = inf every step's 2/R^2 is 0 and the iterate stays zero;
+        # R^2 overflows at 1e200 and 2/R^2 at 1e-170
         with pytest.raises(ContractError):
             chebyshev_solver(np.eye(2), np.ones(2), k, R)
 
@@ -593,18 +694,28 @@ class TestVerifyLowerBound:
             assert [s.k_iter for s in report.steps if not s.in_span] == [i]
 
     def test_checks_on_one_instance_build_one_basis(self, monkeypatch):
-        depths = []
+        builds = []
+        closed_form = lowerbound._dct1_basis
 
-        def counting(apply, b, depth):
-            depths.append(depth)
-            return _krylov_basis(apply, b, depth)
+        def counting(n, m):
+            builds.append((n, m))
+            return closed_form(n, m)
 
-        monkeypatch.setattr(lowerbound, "_krylov_basis", counting)
+        monkeypatch.setattr(lowerbound, "_dct1_basis", counting)
+        monkeypatch.setattr(lowerbound, "_krylov_basis", lambda *a: pytest.fail("CGS2 build"))
         inst = build_hard_instance(24, n=30)
         for kind in AlgoKind:
             report = verify_lower_bound(inst, self.run_on_instance(inst, kind, 25))
             assert report.applicable and report.verdict
-        assert depths == [min(inst.n, 2 * len(inst.lambdas))]
+        assert builds == [(inst.n, inst.m)]
+
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    def test_report_equals_gram_schmidt_reference_at_depth_256(self, kind):
+        inst = build_hard_instance(256, n=261)
+        trace = self.run_on_instance(inst, kind, 257)
+        report = verify_lower_bound(inst, trace)
+        assert report == reference_report(inst, trace)
+        assert report.applicable and report.verdict
 
     @pytest.mark.parametrize("k", [0, -1, 2.5, True, "3"])
     def test_rejects_bad_depth(self, k):
