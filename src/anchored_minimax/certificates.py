@@ -252,7 +252,6 @@ class EagCCertificate:
     case_tag: str
     ell: float
     upper: float
-    interval_ok: bool
     verdict: bool
 
 
@@ -292,10 +291,9 @@ class EagCReport:
                      self.A[lo + 1:hi + 1])
         cols = (self.A, self.tau, self.min_eig, self.det, self.scale, self.case2, self.ell,
                 self.upper, self.verdict)
-        # interval_ok: an A_k outside its interval raised instead
         for k, S_k, (A_k, tau_k, m, d, sc, c2, ell, u, v) in zip(
                 range(lo, hi), S, zip(*(c[lo:hi].tolist() for c in cols))):
-            yield EagCCertificate(k, A_k, tau_k, S_k, m, d, sc, CASE_TAGS[c2], ell, u, True, v)
+            yield EagCCertificate(k, A_k, tau_k, S_k, m, d, sc, CASE_TAGS[c2], ell, u, v)
 
 
 def eag_c_certificate(alphaR: float, K: int, tol_psd: float = 1e-9) -> EagCReport:
@@ -308,9 +306,10 @@ def eag_c_certificate(alphaR: float, K: int, tol_psd: float = 1e-9) -> EagCRepor
     normalized to 1, so alphaR is the only scale.
 
     Raises CertificateError if A_k ever leaves its interval, which would
-    contradict the induction the rate proof rests on, and ContractError if
-    some k < K has an interval no wider than twice the membership slack,
-    where the membership test could not fail.
+    contradict the induction the rate proof rests on, and ContractError where
+    a test could not fail: an interval no wider than twice the membership
+    slack, or an S_k whose second eigenvalue (the first is 0) is not above the
+    PSD tolerance, so that two eigenvalues just below zero would pass.
     """
     a = alphaR
     if not check_eag_c_stepsize(a):
@@ -345,9 +344,16 @@ def eag_c_certificate(alphaR: float, K: int, tol_psd: float = 1e-9) -> EagCRepor
         for on, tau_case in ((~case2[sl], _tau_case1), (case2[sl], _tau_case2)):
             tau[sl][on] = tau_case(ks[on], a, A[sl][on])
         S = s_matrix(ks, a, A[sl], tau[sl], A[sl.start + 1:sl.stop + 1])
-        min_eig[sl] = np.linalg.eigvalsh(S)[:, 0]
+        eigs = np.linalg.eigvalsh(S)
+        min_eig[sl] = eigs[:, 0]
         det[sl] = np.linalg.det(S)
         scale[sl] = np.abs(S).max(axis=(1, 2))
+        bad = np.flatnonzero(~(eigs[:, 1] > tol_psd * scale[sl]))
+        if bad.size:
+            raise ContractError(
+                f"alphaR = {a}: at k={lo + bad[0]} the second eigenvalue of S_k is not above "
+                f"{tol_psd:g} max|S_k|, so the PSD check would be vacuous"
+            )
     return EagCReport(a, A, tau, case2, ell, upper, min_eig, det, scale,
                       min_eig >= -tol_psd * scale)
 

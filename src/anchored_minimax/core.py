@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,7 +105,6 @@ class SaddleProblem:
     lipschitz: float
     saddle_point: Point | None = None
     value: Callable[[np.ndarray], float] | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dim_x <= 0 or self.dim_y <= 0:

@@ -23,13 +23,11 @@ every step whose consumed oracle budget fits the instance's design depth.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -71,9 +69,6 @@ class MinimaxPoly:
     def __call__(self, t):
         out = _minimax_values(self.m, self.R, np.asarray(t, dtype=float))
         return out if out.ndim else float(out)
-
-    def nodes(self) -> np.ndarray:
-        return chebyshev_nodes(self.k, self.R)
 
 
 def chebyshev_nodes(k: int, R: float = 1.0) -> np.ndarray:
@@ -187,12 +182,12 @@ class HardInstance:
     """Symmetric linear-equation instance plus its embedded biaffine saddle.
 
     ``diag`` is the diagonal of A; its first 2m+2 entries, ``lambdas``, are
-    the nonzero eigenvalues and the rest are zero.  ``x_star`` is the
-    minimum-norm solution of A x = b, and ``saddle`` the biaffine problem
-    <A x - b, y - c> with c = x_star, whose saddle point nearest the origin
-    is (x_star, x_star).  ``krylov_basis`` is built on first use and kept.
-    Instances come from ``build_hard_instance`` or ``load_instance``, which
-    both assemble the canonical nodes and weights.
+    the nonzero eigenvalues and the rest are zero.  ``saddle`` is the
+    biaffine problem <A x - b, y - x*> with x* = D sqrt(mu) on the support,
+    mu = ``dual_weights(k)``: x* is the minimum-norm solution of A x = b, and
+    the saddle point nearest the origin is (x*, x*).  ``krylov_basis`` is
+    built on first use and kept.  Instances come from ``build_hard_instance``
+    (or ``load_instance``, which calls it).
     """
 
     k: int
@@ -201,8 +196,6 @@ class HardInstance:
     R: float
     D: float
     diag: np.ndarray
-    mu: np.ndarray
-    x_star: np.ndarray
     b: np.ndarray
     saddle: SaddleProblem = field(repr=False)
 
@@ -248,26 +241,6 @@ class HardInstance:
         return self.R**2 * Dz2 / (2 * self.m + 1) ** 2
 
 
-def _embed_saddle(n: int, a_diag: np.ndarray, b: np.ndarray, c: np.ndarray, R: float, k: int) -> SaddleProblem:
-    def op(z: np.ndarray) -> np.ndarray:
-        x, y = z[:n], z[n:]
-        return np.concatenate([a_diag * y - b, b - a_diag * x])
-
-    def val(z: np.ndarray) -> float:
-        x, y = z[:n], z[n:]
-        return float((a_diag * x - b) @ (y - c))
-
-    return SaddleProblem(
-        name=f"hard-biaffine-k{k}",
-        dim_x=n,
-        dim_y=n,
-        operator=op,
-        lipschitz=R,
-        saddle_point=Point(np.concatenate([c, c]), n),
-        value=val,
-    )
-
-
 def _check_sizes(k: int, n: int, R: float, D: float) -> None:
     """Counts, and R and D whose derived quantities are all finite floats.
 
@@ -293,21 +266,32 @@ def build_hard_instance(k: int, R: float = 1.0, D: float = 1.0, n: int | None = 
     """Construct the depth-k worst-case instance in ambient dimension n >= k+2."""
     n = k + 2 if n is None else n
     _check_sizes(k, n, R, D)
-    return _assemble_instance(k, n, R, D, chebyshev_nodes(k, R), dual_weights(k))
-
-
-def _assemble_instance(k, n, R, D, lam, mu) -> HardInstance:
     m = k // 2
     x_star = np.zeros(n)
-    x_star[: 2 * m + 2] = D * np.sqrt(mu)
+    x_star[: 2 * m + 2] = D * np.sqrt(dual_weights(k))
     diag = np.zeros(n)
-    diag[: 2 * m + 2] = lam
+    diag[: 2 * m + 2] = chebyshev_nodes(k, R)
     b = diag * x_star
-    return HardInstance(
-        k=k, m=m, n=n, R=R, D=D, diag=diag,
-        mu=np.asarray(mu, dtype=float),
-        x_star=x_star, b=b, saddle=_embed_saddle(n, diag, b, x_star, R, k),
+    # G(x, y) = (A y - b, b - A x) = c1 * (y, x) - c0, bit for bit
+    c1, c0 = np.concatenate([diag, -diag]), np.concatenate([b, -b])
+
+    def op(z: np.ndarray) -> np.ndarray:
+        return c1 * z.reshape(2, n)[::-1].ravel() - c0
+
+    def val(z: np.ndarray) -> float:
+        x, y = z[:n], z[n:]
+        return float((diag * x - b) @ (y - x_star))
+
+    saddle = SaddleProblem(
+        name=f"hard-biaffine-k{k}",
+        dim_x=n,
+        dim_y=n,
+        operator=op,
+        lipschitz=R,
+        saddle_point=Point(np.concatenate([x_star, x_star]), n),
+        value=val,
     )
+    return HardInstance(k=k, m=m, n=n, R=R, D=D, diag=diag, b=b, saddle=saddle)
 
 
 # Entries per temporary of ``_dct1_basis`` and ``_krylov_residual``, which
@@ -470,10 +454,7 @@ def sandwich(instance: HardInstance) -> tuple[float, float, float]:
 
 class StepCheck(NamedTuple):
     k_iter: int
-    span_used: int
     grad_sq: float
-    floor: float
-    margin: float
     in_span: bool
 
 
@@ -561,10 +542,7 @@ def verify_lower_bound(
     ks = trace.stored_ks[checked]
     gsq = trace.grad_sq[ks]
     verdict = bool((gsq >= floor * (1 - 1e-9)).all())
-    steps = list(map(
-        StepCheck, ks.tolist(), budgets[checked].tolist(), gsq.tolist(),
-        repeat(floor), (gsq - floor).tolist(), in_span.tolist(),
-    ))
+    steps = list(map(StepCheck, ks.tolist(), gsq.tolist(), in_span.tolist()))
     if not in_span.all():
         return LowerBoundReport(
             steps, False, False, floor,
@@ -574,71 +552,43 @@ def verify_lower_bound(
 
 
 def save_instance(instance: HardInstance, path) -> None:
-    """Write a self-describing text file from which runs reproduce exactly."""
+    """Write k, n, R and D, which define the instance; floats as .17g, which round-trips."""
     with open(path, "w") as f:
-        f.write(_instance_text(instance))
+        f.write(f"# hard biaffine instance\nk={instance.k}\nn={instance.n}\n"
+                f"R={instance.R:.17g}\nD={instance.D:.17g}\n")
 
 
-def _instance_text(instance: HardInstance) -> str:
-    buf = io.StringIO()
-    buf.write("# hard biaffine instance\n")
-    buf.write(f"k={instance.k}\n")
-    buf.write(f"n={instance.n}\n")
-    buf.write(f"R={instance.R:.17g}\n")
-    buf.write(f"D={instance.D:.17g}\n")
-    buf.write("lambdas=" + ",".join(f"{v:.17g}" for v in instance.lambdas) + "\n")
-    buf.write("mu=" + ",".join(f"{v:.17g}" for v in instance.mu) + "\n")
-    return buf.getvalue()
-
-
-# How far, in units in the last place, a loaded value may sit from the rebuilt
-# one: room for another machine's cos, far below any change to the instance.
-_LOAD_ULPS = 8
+# converters in the argument order of ``build_hard_instance``
+_INSTANCE_FIELDS = {"k": int, "R": float, "D": float, "n": int}
 
 
 def load_instance(path) -> HardInstance:
-    """Read a file written by ``save_instance``; bad fields raise ContractError.
+    """Rebuild the instance of a ``save_instance`` file; a bad file raises ContractError.
 
-    The nodes and weights are rebuilt from the file's k and R; ``lambdas``
-    and ``mu`` in the file must match them to within ``_LOAD_ULPS`` ulps,
-    so only the canonical hard instance loads.  It is assembled from the
-    rebuilt values.
+    Blank lines and lines starting with # are skipped.  Every other line is
+    key=value, and the keys must be k, n, R and D, each exactly once; the
+    lambdas= and mu= lines of older files are rejected too.
     """
     fields: dict[str, str] = {}
+    keys = []
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ContractError(f"instance file line {line!r} is not key=value")
+            if key in ("lambdas", "mu"):
+                raise ContractError(f"instance field {key} is rebuilt from k and R; delete its line")
+            keys.append(key)
             fields[key] = val
-
-    def parse(key, conv):
+    if sorted(keys) != sorted(_INSTANCE_FIELDS):
+        raise ContractError(f"instance fields {keys}: need each of k, n, R and D exactly once")
+    values = []
+    for key, conv in _INSTANCE_FIELDS.items():
         try:
-            return conv(fields[key])
-        except KeyError as exc:
-            raise ContractError(f"instance file missing field {exc}") from exc
+            values.append(conv(fields[key]))
         except ValueError as exc:
             raise ContractError(f"instance field {key}: {exc}") from exc
-
-    k, n = parse("k", int), parse("n", int)
-    R, D = parse("R", float), parse("D", float)
-    _check_sizes(k, n, R, D)
-    size = 2 * (k // 2) + 2
-    lam, mu = (
-        parse(key, lambda text: np.array([float(v) for v in text.split(",")]))
-        for key in ("lambdas", "mu")
-    )
-    for key, val in (("lambdas", lam), ("mu", mu)):
-        if len(val) != size or not np.all(np.isfinite(val)):
-            raise ContractError(f"instance field {key}: need {size} finite values, got {len(val)}")
-    if mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-12:
-        raise ContractError("instance field mu must be nonnegative and sum to 1 within 1e-12")
-    lam_ref, mu_ref = chebyshev_nodes(k, R), dual_weights(k)
-    for key, val, ref in (("lambdas", lam, lam_ref), ("mu", mu, mu_ref)):
-        if not np.all(np.abs(val - ref) <= _LOAD_ULPS * np.spacing(np.abs(ref))):
-            raise ContractError(
-                f"instance field {key} is not the hard instance's for k={k}, R={R!r}: "
-                f"more than {_LOAD_ULPS} ulps from the rebuilt values"
-            )
-    return _assemble_instance(k, n, R, D, lam_ref, mu_ref)
+    return build_hard_instance(*values)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -90,7 +90,6 @@ def make_huber_saddle(params: HuberSaddleParams | None = None) -> SaddleProblem:
         lipschitz=1.0,
         saddle_point=Point(np.zeros(2), 1),
         value=val,
-        metadata={"delta": d, "epsilon": e},
     )
 
 
@@ -148,7 +147,6 @@ def make_ouyang_qp(n: int = 200) -> SaddleProblem:
         lipschitz=1.0,
         saddle_point=Point(np.concatenate([xs, ys]), n),
         value=val,
-        metadata={"n": n},
     )
 
 
@@ -168,7 +166,6 @@ def make_bilinear(scale: float = 1.0) -> SaddleProblem:
         lipschitz=scale,
         saddle_point=Point(np.zeros(2), 1),
         value=lambda z: float(scale * z[0] * z[1]),
-        metadata={"scale": scale},
     )
 
 
@@ -220,7 +217,6 @@ def _monotone_linear_problem(
         lipschitz=R,
         saddle_point=saddle,
         value=val,
-        metadata={"matrix": M, "offset": v},
     )
 
 
@@ -333,7 +329,6 @@ def _flow_rhs(spec: FlowSpec):
 class FlowTrajectory:
     ts: np.ndarray
     zs: np.ndarray
-    spec: FlowSpec
 
 
 def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
@@ -368,7 +363,7 @@ def integrate_flow(spec: FlowSpec) -> FlowTrajectory:
                 f"try more than {spec.steps} steps"
             )
         zs[i + 1] = x, y
-    return FlowTrajectory(ts=ts, zs=zs, spec=spec)
+    return FlowTrajectory(ts=ts, zs=zs)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +385,7 @@ def preset_names() -> list[str]:
 def load_preset(name: str) -> tuple[SaddleProblem, Point]:
     """Resolve a preset name to (problem, default starting point)."""
     if name == "huber-default":
-        problem = make_huber_saddle()
-        problem = replace(
-            problem,
-            metadata={**problem.metadata, "z0_note": "unit norm along (1,1)/sqrt(2)"},
-        )
-        return problem, Point(np.array([1.0, 1.0]) / math.sqrt(2.0), 1)
+        return make_huber_saddle(), Point(np.array([1.0, 1.0]) / math.sqrt(2.0), 1)
     if name == "ouyang-200":
         problem = make_ouyang_qp(200)
         return problem, Point(np.zeros(400), 200)

@@ -69,10 +69,9 @@ def eag_c_reference(alphaR, K, tol_psd=1e-9):
         scale = float(np.abs(S).max())
         eigs = np.linalg.eigvalsh(S)
         det = float(np.linalg.det(S))
-        verdict = bool(eigs[0] >= -tol_psd * scale and interval_ok)
+        verdict = bool(eigs[0] >= -tol_psd * scale)
         certs.append(EagCCertificate(
-            k, A, tau, S, float(eigs[0]), det, scale, case, chain.ell, chain.upper,
-            interval_ok, verdict,
+            k, A, tau, S, float(eigs[0]), det, scale, case, chain.ell, chain.upper, verdict,
         ))
         A = A_next
     return certs
@@ -402,7 +401,7 @@ class TestEagCCertificate:
             scale = abs(c.S).max()
             assert c.min_eig >= -1e-9 * scale
             assert abs(c.det) <= 1e-9 * scale**3
-            assert c.interval_ok and c.verdict
+            assert c.verdict
             assert c.case_tag == "I_minus"
             assert c.A_k >= a * (c.k + 1) ** 2 / 2
 
@@ -507,7 +506,43 @@ class TestEagCCertificate:
         # it at k = 1e7; the check runs before any step does
         with pytest.raises(ContractError, match=r"alphaR = 1e-05: at k=10000000 "):
             eag_c_certificate(1e-5, 10**7 + 1)
-        assert all(c.verdict for c in eag_c_certificate(1e-5, 1000))
+        # there the PSD check is vacuous from k = 0 on: lambda_2(S_0) is
+        # 3.0e-13 max|S_0|, below the 1e-9 tolerance
+        with pytest.raises(ContractError, match=r"alphaR = 1e-05: at k=0 the second eigenvalue"):
+            eag_c_certificate(1e-5, 1000)
+
+    def test_rejects_vacuous_psd_check(self):
+        # lambda_2(S_k)/max|S_k| falls below 1e-9 at k = 281 (minimum 5.4e-11
+        # by k = 20000); the first k is named before any later block runs
+        with pytest.raises(ContractError, match=r"alphaR = 0.0003: at k=281 the second eigenvalue"):
+            eag_c_certificate(3e-4, 20_000)
+
+    @pytest.mark.parametrize("j", [0, 37, EAGC_BLOCK + 5])
+    def test_planted_pair_of_slightly_negative_eigenvalues_raises(self, j, monkeypatch):
+        # two eigenvalues at -0.9 tol max|S| pass the min-eigenvalue test,
+        # so only the second-eigenvalue guard can catch such a matrix
+        import anchored_minimax.certificates as certs_mod
+
+        original = certs_mod.s_matrix
+
+        def planted(k, alphaR, A_k, tau_k, A_next):
+            S = original(k, alphaR, A_k, tau_k, A_next)
+            for i in np.flatnonzero(k == j):
+                sc = np.abs(S[i]).max()
+                S[i] = np.diag([-0.9e-9 * sc, -0.9e-9 * sc, sc])
+            return S
+
+        monkeypatch.setattr(certs_mod, "s_matrix", planted)
+        with pytest.raises(ContractError, match=rf"at k={j} the second eigenvalue"):
+            certs_mod.eag_c_certificate(0.125, 2 * EAGC_BLOCK)
+
+    @pytest.mark.parametrize(
+        "alphaR, K", [(0.125, 10**5), (0.05, 10**5), (0.01, 10**5), (1e-3, 2 * 10**4)]
+    )
+    def test_psd_guard_keeps_clear_step_sizes(self, alphaR, K):
+        # smallest lambda_2/max|S| here: 4.0e-3, 2.1e-4, 1.5e-6 and 1.66e-9
+        report = eag_c_certificate(alphaR, K)
+        assert len(report) == K and report.verdict.all()
 
     @pytest.mark.parametrize("alphaR", [0.05, 0.125])
     def test_large_K_unchanged_by_vacuity_check(self, alphaR):

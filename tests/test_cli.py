@@ -448,6 +448,13 @@ class TestCertifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_eagc_vacuous_psd_check_exit_2(self, capsys):
+        # lambda_2(S_k) sits within the PSD tolerance from k = 281 on
+        code, out, err = invoke(["certify", "eagc", "--alphaR", "3e-4", "--k", "20000"],
+                                capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "at k=281" in err and "vacuous" in err
+
     def test_eagc_broken_induction_exit_1(self, capsys, monkeypatch):
         import anchored_minimax.certificates as certs_mod
 
@@ -601,32 +608,32 @@ def test_instance_file_as_run_problem(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, text, needle",
+    "edit, needle",
     [
-        ("lambdas", "-1,-0.5,0.5", "lambdas"),
-        ("lambdas", "-1,nan,0.5,1", "lambdas"),
-        ("mu", "-0.1,0.6,0.4,0.1", "mu"),
-        # nodes 5x the declared R
-        ("lambdas", "-5,-2.5,2.5,5", "lambdas is not the hard instance's"),
+        (lambda text: text + "nn=5\n", "instance fields ['k', 'n', 'R', 'D', 'nn']"),
+        # a repeated key is refused, not overridden by its last value
+        (lambda text: text + "D=5\n", "instance fields ['k', 'n', 'R', 'D', 'D']"),
+        (lambda text: text + "D 5\n", "instance file line 'D 5' is not key=value"),
+        (lambda text: text.replace("n=4\n", ""), "need each of k, n, R and D exactly once"),
+        # nodes 5x the declared R, as an older file would have held them
+        (lambda text: text + "lambdas=-5,-2.5,2.5,5\n",
+         "instance field lambdas is rebuilt from k and R; delete its line"),
     ],
+    ids=["unknown-key", "repeated-key", "no-equals", "missing-key", "leftover-lambdas"],
 )
-def test_bad_instance_file_exits_2(tmp_path, capsys, field, text, needle):
+def test_bad_instance_file_exits_2(tmp_path, capsys, edit, needle):
     from anchored_minimax import build_hard_instance, save_instance
 
     path = tmp_path / "inst.txt"
     save_instance(build_hard_instance(2), path)
-    lines = [
-        f"{field}={text}" if line.startswith(f"{field}=") else line
-        for line in path.read_text().splitlines()
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(edit(path.read_text()))
     code, _, err = invoke(
         ["run", "--problem", str(path), "--algo", "eag-v", "--alpha0", "0.5",
          "--iters", "8", "--out", str(tmp_path / "run.csv")],
         capsys,
     )
     assert code == 2
-    assert f"instance field {needle}" in err
+    assert needle in err
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,8 @@ from anchored_minimax import (
     make_random_monotone,
 )
 
+from test_problems import affine_parts
+
 SHIPPED = [
     "bilinear-unit",
     "huber-default",
@@ -113,7 +115,7 @@ class TestGradSqNorm:
         p = _monotone_linear_problem(
             np.zeros((3, 3)), np.zeros((3, 3)), C, np.zeros(6), 1.0, "skew"
         )
-        B = p.metadata["matrix"]
+        B, _ = affine_parts(p)
         e1 = np.zeros(6)
         e1[0] = 1.0
         assert grad_sq_norm(p, p.point(e1)) == pytest.approx(float(np.sum((B @ e1) ** 2)))
@@ -292,8 +294,7 @@ def test_infinite_bilinear_scale_is_rejected(recwarn):
 
 def test_random_monotone_block_form():
     p = make_random_monotone(5, R=1.5, seed=7)
-    M = p.metadata["matrix"]
-    v = p.metadata["offset"]
+    M, v = affine_parts(p)
     rng = np.random.default_rng(0)
     for _ in range(1000):
         z = rng.normal(size=10)

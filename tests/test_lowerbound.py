@@ -30,10 +30,15 @@ from anchored_minimax import lowerbound
 from anchored_minimax.lowerbound import (
     LowerBoundReport,
     StepCheck,
-    _assemble_instance,
     _kkt_residual_cheb,
     _krylov_basis,
 )
+
+
+def saddle_bytes(instance):
+    """The saddle point and the operator at a fixed point, as bytes."""
+    z = np.random.default_rng(0).normal(size=2 * instance.n)
+    return instance.saddle.saddle_point.coords.tobytes() + instance.saddle.operator(z).tobytes()
 
 
 def reference_report(instance, trace, k=None, span_tol=1e-8):
@@ -67,7 +72,7 @@ def reference_report(instance, trace, k=None, span_tol=1e-8):
         all_in_span &= ok_span
         ok = gsq >= floor * (1 - 1e-9)
         verdict &= ok
-        steps.append(StepCheck(j, e, gsq, floor, gsq - floor, ok_span))
+        steps.append(StepCheck(j, gsq, ok_span))
     if not all_in_span:
         return LowerBoundReport(
             steps, False, False, floor,
@@ -112,7 +117,7 @@ class TestMinimaxPoly:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_equioscillation_at_nodes(self, k):
         p = minimax_poly(k, 1.0)
-        lam = p.nodes()
+        lam = chebyshev_nodes(k, 1.0)
         vals = lam * p(lam)
         assert np.allclose(np.abs(vals), p.m_star, atol=1e-10)
         assert np.all(np.sign(vals[:-1]) == -np.sign(vals[1:]))
@@ -215,8 +220,10 @@ class TestHardInstance:
         inst = build_hard_instance(4, R=1.0, D=1.0)
         zs = inst.saddle.saddle_point.coords
         n = inst.n
-        assert np.allclose(zs[:n], inst.x_star)
-        assert np.allclose(zs[n:], inst.x_star)
+        assert np.array_equal(zs[:n], zs[n:])
+        # x* is the minimum-norm solution of A x = b: zero off the spectrum
+        assert np.array_equal(inst.diag * zs[:n], inst.b)
+        assert np.all(zs[2 * inst.m + 2 : n] == 0.0)
         assert float(zs @ zs) == pytest.approx(2.0, rel=1e-12)
 
     def test_embedded_operator_is_R_lipschitz_skew(self):
@@ -238,9 +245,25 @@ class TestHardInstance:
         assert np.allclose(nonzero, expected, atol=1e-12)
         assert sv.max() == pytest.approx(1.3, rel=1e-12)
 
+    @pytest.mark.parametrize("k, n", [(6, 8), (28, 30), (256, 260)])
+    def test_operator_matches_blockwise_reference_bitwise(self, k, n):
+        # the fused operator against (A y - b, b - A x) built block by block,
+        # signed zeros included
+        inst = build_hard_instance(k, R=1.3, D=0.7, n=n)
+        a, b = inst.diag, inst.b
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            z = rng.normal(size=2 * n)
+            z[rng.random(2 * n) < 0.2] = 0.0
+            z[rng.random(2 * n) < 0.1] = -0.0
+            want = np.concatenate([a * z[n:] - b, b - a * z[:n]])
+            assert inst.saddle.operator(z).tobytes() == want.tobytes()
+
     def test_norms(self):
         inst = build_hard_instance(6, R=2.0, D=3.0)
-        assert np.linalg.norm(inst.x_star) == pytest.approx(3.0, rel=1e-12)
+        x_star = inst.saddle.saddle_point.x
+        assert np.linalg.norm(x_star) == pytest.approx(3.0, rel=1e-12)
+        assert np.array_equal(x_star[: len(inst.lambdas)], 3.0 * np.sqrt(dual_weights(6)))
         assert np.abs(inst.lambdas).max() == pytest.approx(2.0, rel=1e-12)
         # b in range(A): zero wherever the spectrum vanishes
         assert np.all(inst.b[2 * inst.m + 2:] == 0.0)
@@ -283,9 +306,10 @@ class TestHardInstance:
         path = tmp_path / "instance.txt"
         save_instance(inst, path)
         loaded = load_instance(path)
-        assert np.array_equal(loaded.lambdas, inst.lambdas)
-        assert np.array_equal(loaded.mu, inst.mu)
+        assert np.array_equal(loaded.diag, inst.diag)
         assert np.array_equal(loaded.b, inst.b)
+        assert saddle_bytes(loaded) == saddle_bytes(inst)
+        assert path.read_text() == "# hard biaffine instance\nk=7\nn=12\nR=1.5\nD=0.5\n"
         path2 = tmp_path / "again.txt"
         save_instance(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -303,26 +327,22 @@ class TestHardInstance:
         save_instance(inst, path)
         loaded = load_instance(path)
         assert (loaded.k, loaded.n, loaded.R, loaded.D) == (inst.k, inst.n, R, D)
-        for name in ("diag", "mu", "x_star", "b"):
-            assert np.array_equal(getattr(loaded, name), getattr(inst, name)), name
+        assert np.array_equal(loaded.diag, inst.diag)
+        assert np.array_equal(loaded.b, inst.b)
+        assert saddle_bytes(loaded) == saddle_bytes(inst)
 
     def test_roundtrip_export_deep(self, tmp_path):
         inst = build_hard_instance(256, R=0.7, D=1.9, n=260)
         path = tmp_path / "deep.txt"
         save_instance(inst, path)
         loaded = load_instance(path)
-        assert np.array_equal(loaded.lambdas, inst.lambdas)
-        assert np.array_equal(loaded.mu, inst.mu)
+        assert np.array_equal(loaded.diag, inst.diag)
+        assert np.array_equal(loaded.b, inst.b)
+        assert saddle_bytes(loaded) == saddle_bytes(inst)
 
     @pytest.mark.parametrize(
         "field, text, needle",
         [
-            ("lambdas", "1,2", "lambdas: need 4 finite values, got 2"),
-            ("mu", "0.5,0.5", "mu: need 4 finite values"),
-            ("lambdas", "nan,-0.5,0.5,1", "lambdas: need 4 finite values"),
-            ("mu", "inf,0.25,0.25,0.25", "mu: need 4 finite values"),
-            ("mu", "-0.5,1,0.25,0.25", "mu must be nonnegative"),
-            ("mu", "0.25,0.25,0.25,0.26", "mu must be nonnegative and sum to 1"),
             ("n", "3", "n >= k + 2"),
             ("R", "0", "R > 0"),
             ("D", "inf", "D >= 0"),
@@ -349,36 +369,31 @@ class TestHardInstance:
     def test_load_accepts_only_the_canonical_instance(self, tmp_path, field, change):
         # a file whose nodes are 5x the declared R used to load, and EAG-V on
         # it diverged to grad_sq = 2.5e76 next to a floor of 0.015
+        # the file holds no nodes or weights, so any such line is refused
         path = tmp_path / "tampered.txt"
         save_instance(build_hard_instance(6), path)
-        lines = []
-        for line in path.read_text().splitlines():
-            if line.startswith(f"{field}="):
-                vals = change(np.array([float(v) for v in line.split("=")[1].split(",")]))
-                line = f"{field}=" + ",".join(f"{v:.17g}" for v in vals)
-            lines.append(line)
-        path.write_text("\n".join(lines) + "\n")
-        needle = f"instance field {field} is not the hard instance's"
-        with pytest.raises(ContractError, match=needle):
+        canonical = {"lambdas": chebyshev_nodes(6, 1.0), "mu": dual_weights(6)}
+        vals = change(canonical[field])
+        with open(path, "a") as f:
+            f.write(f"{field}=" + ",".join(f"{v:.17g}" for v in vals) + "\n")
+        needle = f"instance field {field} is rebuilt from k and R; delete its line"
+        with pytest.raises(ContractError, match=re.escape(needle)):
             load_instance(path)
 
-    def test_load_allows_a_few_ulps(self, tmp_path):
-        # another machine's cos may round a node or weight differently
-        inst = build_hard_instance(6, R=1.3)
-        path = tmp_path / "ulps.txt"
-        save_instance(inst, path)
-        lines = []
-        for line in path.read_text().splitlines():
-            if line.startswith(("lambdas=", "mu=")):
-                key, _, text = line.partition("=")
-                vals = np.array([float(v) for v in text.split(",")])
-                vals = np.nextafter(np.nextafter(vals, np.inf), np.inf)
-                line = f"{key}=" + ",".join(f"{v:.17g}" for v in vals)
-            lines.append(line)
-        path.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("key", ["k", "n", "R", "D"])
+    def test_load_rejects_a_missing_key(self, tmp_path, key):
+        path = tmp_path / "short.txt"
+        save_instance(build_hard_instance(6), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(f"{key}=")))
+        with pytest.raises(ContractError, match="need each of k, n, R and D exactly once"):
+            load_instance(path)
+
+    def test_load_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "spaced.txt"
+        path.write_text("\n# depth\nk=6\n\n  n=9  \n# radii\nR=1.3\nD=0.7\n")
         loaded = load_instance(path)
-        assert np.array_equal(loaded.lambdas, inst.lambdas)
-        assert np.array_equal(loaded.mu, inst.mu)
+        assert saddle_bytes(loaded) == saddle_bytes(build_hard_instance(6, 1.3, 0.7, 9))
 
 
 @pytest.mark.parametrize("k", [*range(1, 65), 128, 256, 512, 1000])
@@ -488,9 +503,9 @@ def test_basis_of_a_moved_node_fails_its_check(k):
     # the closed form holds only for the canonical nodes; one node moved by
     # 1e-3 leaves a residual of 4.5e-5 (k = 1000) to 4.8e-4 (k = 6)
     inst = build_hard_instance(k)
-    lam = inst.lambdas.copy()
-    lam[1] += 1e-3
-    moved = _assemble_instance(k, inst.n, inst.R, inst.D, lam, inst.mu)
+    diag = inst.diag.copy()
+    diag[1] += 1e-3
+    moved = replace(inst, diag=diag, b=diag * inst.saddle.saddle_point.x)
     with pytest.raises(CertificateError, match="does not span the Krylov space"):
         moved.krylov_basis
 

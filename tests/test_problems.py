@@ -50,6 +50,14 @@ def ouyang_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return A, b, h, H
 
 
+def affine_parts(problem) -> tuple[np.ndarray, np.ndarray]:
+    """(M, v) of an affine operator G(z) = M z + v, read back from G itself:
+    v = G(0), and column i of M is G(e_i) - v."""
+    I = np.eye(problem.dim)
+    v = problem.operator(np.zeros(problem.dim))
+    return np.column_stack([problem.operator(e) - v for e in I]), v
+
+
 def reference_rk4(spec: FlowSpec) -> np.ndarray:
     """Reference for integrate_flow: RK4 on numpy 2-vectors, one array per stage."""
     z0 = np.array(spec.z0)
@@ -106,8 +114,7 @@ def _assert_matches_dense(n: int, z: np.ndarray) -> None:
 class TestHuberSaddle:
     def test_quadratic_branch_gradient(self):
         p = make_huber_saddle()
-        eps = p.metadata["epsilon"]
-        delta = p.metadata["delta"]
+        eps, delta = HuberSaddleParams().epsilon, HuberSaddleParams().delta
         g = p.operator(np.array([eps / 2, 0.0]))
         # f'(eps/2) = eps/2 inside the quadratic region
         assert g[0] == pytest.approx((1 - delta) * eps / 2, rel=1e-14)
@@ -124,7 +131,7 @@ class TestHuberSaddle:
 
     def test_exact_form_outside_kink(self):
         p = make_huber_saddle()
-        eps, delta = p.metadata["epsilon"], p.metadata["delta"]
+        eps, delta = HuberSaddleParams().epsilon, HuberSaddleParams().delta
         rng = np.random.default_rng(8)
         for _ in range(200):
             z = rng.uniform(-2, 2, size=2)
@@ -137,14 +144,6 @@ class TestHuberSaddle:
                 ]
             )
             assert np.allclose(p.operator(z), expected, atol=1e-18)
-
-    def test_preset_note_is_set_at_construction(self):
-        assert "z0_note" not in make_huber_saddle().metadata
-        p, _ = load_preset("huber-default")
-        assert p.metadata == {
-            **make_huber_saddle().metadata,
-            "z0_note": "unit norm along (1,1)/sqrt(2)",
-        }
 
     def test_parameter_validation_and_advisory(self):
         with pytest.raises(ContractError):
@@ -265,7 +264,7 @@ class TestBilinearAndRandom:
 
     def test_random_monotone_positive_form(self):
         p = make_random_monotone(6, R=1.0, seed=4)
-        M = p.metadata["matrix"]
+        M, _ = affine_parts(p)
         rng = np.random.default_rng(1)
         zs = rng.normal(size=(1000, 12))
         quad = np.einsum("ij,ij->i", zs, zs @ M.T)
@@ -279,13 +278,15 @@ class TestBilinearAndRandom:
         p = _monotone_linear_problem(
             np.zeros((4, 4)), np.zeros((4, 4)), C, np.zeros(8), 1.0, "skew"
         )
-        M = p.metadata["matrix"]
+        M, v = affine_parts(p)
+        assert not v.any()
         assert np.allclose(M, -M.T, atol=1e-15)
 
     def test_deterministic_in_seed(self):
         a = make_random_monotone(5, seed=9)
         b = make_random_monotone(5, seed=9)
-        assert np.array_equal(a.metadata["matrix"], b.metadata["matrix"])
+        for x, y in zip(affine_parts(a), affine_parts(b)):
+            assert np.array_equal(x, y)
 
     def test_random_monotone_rejects_bad_size_or_norm(self):
         # in a subprocess with a timeout, so a retry loop that never ends
