@@ -50,10 +50,8 @@ from .lowerbound import (
     chebyshev_solver,
     dual_weights,
     krylov_min_residual,
-    load_instance,
     minimax_poly,
     sandwich,
-    save_instance,
     verify_lower_bound,
 )
 from .problems import (

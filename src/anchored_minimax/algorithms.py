@@ -125,10 +125,6 @@ class Trace:
     def iters(self) -> int:
         return len(self.grad_sq) - 1
 
-    @property
-    def is_dense(self) -> bool:
-        return len(self.stored_ks) == self.iters + 1
-
     def iterate(self, k: int) -> np.ndarray:
         if not self.iterates:
             raise ContractError(

@@ -10,7 +10,6 @@ lines produce byte-identical files at a fixed BLAS thread count.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from .certificates import (
     lyapunov_sequence,
 )
 from .core import CertificateError, ContractError, NumericalDivergenceError, Point
-from .lowerbound import build_hard_instance, load_instance, sandwich, verify_lower_bound
+from .lowerbound import build_hard_instance, sandwich, verify_lower_bound
 from .problems import (
     PRESET_STEP_SIZES,
     FlowKind,
@@ -111,16 +110,6 @@ def _saddle_distances(zs: np.ndarray | None):
     return keep, distances
 
 
-def _resolve_problem(name: str, seed: int):
-    if os.path.exists(name):
-        inst = load_instance(name)
-        return inst.saddle, Point(np.zeros(2 * inst.n), inst.n), name
-    if name.startswith("random-monotone:") and name.count(":") == 1:
-        name = f"{name}:{seed}"
-    problem, z0 = load_preset(name)
-    return problem, z0, name
-
-
 def _alpha_default(preset: str, algo: str) -> float | None:
     return PRESET_STEP_SIZES.get(preset, {}).get(algo)
 
@@ -128,15 +117,15 @@ def _alpha_default(preset: str, algo: str) -> float | None:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.problem is None or args.algo is None:
         raise ContractError("--problem and --algo are required")
-    problem, z0, preset = _resolve_problem(args.problem, args.seed)
+    problem, z0 = load_preset(args.problem)
     kind = AlgoKind(args.algo)
     alpha = args.alpha0 if args.alpha0 is not None else args.alpha
     if alpha is None:
-        alpha = _alpha_default(preset, kind.value)
+        alpha = _alpha_default(args.problem, kind.value)
     if alpha is None and kind == AlgoKind.SIMGD_A:
         alpha = 1.0  # SimGD-A's schedule comes from p and gamma, not alpha
     if alpha is None:
-        raise ContractError(f"no step size given and no default for {preset}/{kind.value}")
+        raise ContractError(f"no step size given and no default for {args.problem}/{kind.value}")
     config = AlgoConfig(
         kind=kind,
         alpha0=alpha,
@@ -233,7 +222,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     # lyapunov
-    problem, z0, preset = _resolve_problem(args.problem, args.seed)
+    problem, z0 = load_preset(args.problem)
     config = AlgoConfig(
         kind=AlgoKind.EAG_V,
         alpha0=args.alpha0,
@@ -249,7 +238,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         D2 = max(1.0, float(z0.coords @ z0.coords))
     report = check_lyapunov_monotone(V, R * R * D2)
     print(
-        f"lyapunov {preset} alpha0={_fmt(args.alpha0)} iters={args.iters}: "
+        f"lyapunov {args.problem} alpha0={_fmt(args.alpha0)} iters={args.iters}: "
         f"{'PASS' if report.passed else 'FAIL'} "
         f"({len(report.violations)} violations, tol={report.tol:.3e})"
     )
@@ -284,7 +273,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     algo_ok = True
     if args.algo is not None:
         kind = AlgoKind(args.algo)
-        iters = args.iters if args.iters else max(2, args.k)
+        iters = args.iters if args.iters is not None else max(2, args.k)
         config = AlgoConfig(kind=kind, alpha0=args.alpha, iters=iters)
         z0 = Point(np.zeros(2 * inst.n), inst.n)
         trace = run(inst.saddle, config, z0, dense=True)
@@ -400,7 +389,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = int(os.environ.get("ANCHORED_MINIMAX_SEED", "0"))
     parser = argparse.ArgumentParser(
         prog="anchored-minimax",
         description="anchored extragradient benchmark and certificate harness",
@@ -409,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an algorithm and emit a convergence CSV")
     p_run.add_argument("--problem", default=None,
-                       help=f"preset ({', '.join(preset_names())}) or instance file")
+                       help=f"preset ({', '.join(preset_names())})")
     p_run.add_argument("--algo", default=None,
                        choices=[k.value for k in AlgoKind])
     p_run.add_argument("--alpha", type=float, default=None)
@@ -418,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--anchor-delta", dest="anchor_delta", type=float, default=2.0)
     p_run.add_argument("--simgd-p", dest="simgd_p", type=float, default=0.51)
     p_run.add_argument("--simgd-gamma", dest="simgd_gamma", type=float, default=1.0)
-    p_run.add_argument("--seed", type=int, default=seed_default)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--dense", action="store_true",
                        help="emit every iteration even above the thinning threshold")
@@ -434,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--alpha0", type=float, default=0.618)
     p_cert.add_argument("--iters", type=int, default=1000)
     p_cert.add_argument("--anchor-delta", dest="anchor_delta", type=float, default=2.0)
-    p_cert.add_argument("--seed", type=int, default=seed_default)
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certify)
 

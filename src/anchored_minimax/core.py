@@ -79,12 +79,6 @@ class Point:
     def dim(self) -> int:
         return self.coords.size
 
-    @staticmethod
-    def join(x: Sequence[float], y: Sequence[float]) -> "Point":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return Point(np.concatenate([x, y]), x.size)
-
 
 @dataclass(frozen=True)
 class SaddleProblem:

@@ -47,8 +47,6 @@ __all__ = [
     "sandwich",
     "LowerBoundReport",
     "verify_lower_bound",
-    "save_instance",
-    "load_instance",
 ]
 
 
@@ -186,8 +184,7 @@ class HardInstance:
     biaffine problem <A x - b, y - x*> with x* = D sqrt(mu) on the support,
     mu = ``dual_weights(k)``: x* is the minimum-norm solution of A x = b, and
     the saddle point nearest the origin is (x*, x*).  ``krylov_basis`` is
-    built on first use and kept.  Instances come from ``build_hard_instance``
-    (or ``load_instance``, which calls it).
+    built on first use and kept.  Instances come from ``build_hard_instance``.
     """
 
     k: int
@@ -549,46 +546,3 @@ def verify_lower_bound(
             "trace left the reachable Krylov span; the bound does not apply",
         )
     return LowerBoundReport(steps, True, verdict, floor)
-
-
-def save_instance(instance: HardInstance, path) -> None:
-    """Write k, n, R and D, which define the instance; floats as .17g, which round-trips."""
-    with open(path, "w") as f:
-        f.write(f"# hard biaffine instance\nk={instance.k}\nn={instance.n}\n"
-                f"R={instance.R:.17g}\nD={instance.D:.17g}\n")
-
-
-# converters in the argument order of ``build_hard_instance``
-_INSTANCE_FIELDS = {"k": int, "R": float, "D": float, "n": int}
-
-
-def load_instance(path) -> HardInstance:
-    """Rebuild the instance of a ``save_instance`` file; a bad file raises ContractError.
-
-    Blank lines and lines starting with # are skipped.  Every other line is
-    key=value, and the keys must be k, n, R and D, each exactly once; the
-    lambdas= and mu= lines of older files are rejected too.
-    """
-    fields: dict[str, str] = {}
-    keys = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise ContractError(f"instance file line {line!r} is not key=value")
-            if key in ("lambdas", "mu"):
-                raise ContractError(f"instance field {key} is rebuilt from k and R; delete its line")
-            keys.append(key)
-            fields[key] = val
-    if sorted(keys) != sorted(_INSTANCE_FIELDS):
-        raise ContractError(f"instance fields {keys}: need each of k, n, R and D exactly once")
-    values = []
-    for key, conv in _INSTANCE_FIELDS.items():
-        try:
-            values.append(conv(fields[key]))
-        except ValueError as exc:
-            raise ContractError(f"instance field {key}: {exc}") from exc
-    return build_hard_instance(*values)

@@ -3,10 +3,11 @@
 Shipped problems: a two-dimensional Huber-smoothed worst case (smoothness 1,
 saddle at the origin), the Lagrangian of a linearly constrained QP with
 banded constraint matrix, the scaled bilinear coupling, and a seeded family
-of random monotone linear operators.  The two flows for L(x, y) = x y — the
-resolvent-regularized flow and the anchored flow — have exact closed forms,
-which the fixed-step RK4 integrator must reproduce; each side serves as the
-oracle for the other.
+of random monotone linear operators; ``load_preset`` also names the
+lower-bound instances of ``build_hard_instance``.  The two flows for
+L(x, y) = x y — the resolvent-regularized flow and the anchored flow — have
+exact closed forms, which the fixed-step RK4 integrator must reproduce; each
+side serves as the oracle for the other.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .core import ContractError, NumericalDivergenceError, Point, SaddleProblem, check_count
+from .lowerbound import build_hard_instance
 
 __all__ = [
     "HuberSaddleParams",
@@ -379,11 +381,31 @@ PRESET_STEP_SIZES: dict[str, dict[str, float]] = {
 
 
 def preset_names() -> list[str]:
-    return ["huber-default", "ouyang-200", "bilinear-unit", "random-monotone:<n>:<seed>"]
+    return ["huber-default", "ouyang-200", "bilinear-unit", "random-monotone:<n>:<seed>",
+            "hard:<k>[:<R>:<D>[:<n>]]"]
+
+
+def _spec_fields(name: str, usage: str, types: tuple, counts: tuple[int, ...]) -> list:
+    """The fields after a spec's first colon, converted by ``types`` in order.
+
+    A count outside ``counts``, or a field its type rejects, raises
+    ContractError naming ``usage``.
+    """
+    fields = name.split(":")[1:]
+    try:
+        if len(fields) not in counts:
+            raise ValueError(f"{len(fields)} fields")
+        return [conv(field) for conv, field in zip(types, fields)]
+    except ValueError as exc:
+        raise ContractError(f"bad preset {name!r}; use {usage}") from exc
 
 
 def load_preset(name: str) -> tuple[SaddleProblem, Point]:
-    """Resolve a preset name to (problem, default starting point)."""
+    """Resolve a preset name to (problem, default starting point).
+
+    ``hard:<k>[:<R>:<D>[:<n>]]`` is the embedded saddle of
+    ``build_hard_instance(k, R, D, n)``, with its defaults, started at 0.
+    """
     if name == "huber-default":
         return make_huber_saddle(), Point(np.array([1.0, 1.0]) / math.sqrt(2.0), 1)
     if name == "ouyang-200":
@@ -392,15 +414,14 @@ def load_preset(name: str) -> tuple[SaddleProblem, Point]:
     if name == "bilinear-unit":
         return make_bilinear(1.0), Point(np.array([1.0, 0.0]), 1)
     if name.startswith("random-monotone:"):
-        try:
-            _, n, seed = name.split(":")
-            n, seed = int(n), int(seed)
-        except ValueError as exc:
-            raise ContractError(
-                f"bad preset {name!r}; use random-monotone:<n>:<seed>"
-            ) from exc
+        n, seed = _spec_fields(name, "random-monotone:<n>:<seed>", (int, int), (2,))
         problem = make_random_monotone(n, 1.0, seed)
         rng = np.random.default_rng(seed + 1)
         z0 = rng.normal(size=2 * n)
         return problem, Point(z0 / np.linalg.norm(z0), n)
+    if name.startswith("hard:"):
+        inst = build_hard_instance(*_spec_fields(
+            name, "hard:<k>[:<R>:<D>[:<n>]]", (int, float, float, int), (1, 3, 4)
+        ))
+        return inst.saddle, Point(np.zeros(2 * inst.n), inst.n)
     raise ContractError(f"unknown preset {name!r}; known: {preset_names()}")

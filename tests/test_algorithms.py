@@ -517,7 +517,7 @@ class TestRun:
         assert trace.iterates == []
         assert kept == [z.tobytes() for z in want.iterates]
         assert trace.stored_ks.tolist() == want.stored_ks.tolist()
-        assert trace.is_dense == (iters == 1500)
+        assert (len(trace.stored_ks) == trace.iters + 1) == (iters == 1500)
         for x, y in ((trace.grad_sq, want.grad_sq), (trace.oracle_calls, want.oracle_calls),
                      (trace.alphas, want.alphas), (trace.anchor_inner, want.anchor_inner)):
             assert (x is None) == (y is None)

@@ -292,7 +292,7 @@ class TestLyapunovSequence:
     def test_matches_fresh_oracle_reference_on_presets(self, preset, kind, alpha0, iters):
         p, z0 = load_preset(preset)
         trace = run(p, AlgoConfig(kind, alpha0, iters), z0)
-        assert trace.is_dense == (iters < 10_000)
+        assert (len(trace.stored_ks) == trace.iters + 1) == (iters < 10_000)
         V = lyapunov_sequence(trace, p)
         assert V.tobytes() == lyapunov_reference(trace, p).tobytes()
 
@@ -308,7 +308,7 @@ class TestLyapunovSequence:
         p = make_bilinear(1.0)
         z0 = p.point([1.0, 0.0])
         trace = run(p, AlgoConfig(AlgoKind.EAG_V, 0.618, 12_000), z0)
-        assert not trace.is_dense
+        assert len(trace.stored_ks) != trace.iters + 1
         V = lyapunov_sequence(trace, p)
         assert len(V) == len(trace.stored_ks)
         assert check_lyapunov_monotone(V, scale=1.0).passed

@@ -77,7 +77,7 @@ def run_csv_reference(trace, problem, config, z0, bound=True):
     header += ["oracle_calls"]
     header += ["dist_to_saddle_sq"] if zs is not None else []
     if zs is not None:
-        kept = run(problem, config, z0, dense=trace.is_dense)
+        kept = run(problem, config, z0, dense=len(trace.stored_ks) == trace.iters + 1)
         dists = (float(np.sum((kept.iterate(k) - zs) ** 2)) for k in trace.stored_ks)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
@@ -360,24 +360,6 @@ class TestRunCommand:
         assert out.read_bytes() == want
         assert len(trace.stored_ks) > cli.EMIT_BLOCK
 
-    def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ANCHORED_MINIMAX_SEED", "3")
-        out = tmp_path / "s.csv"
-        code, _, _ = invoke(
-            ["run", "--problem", "random-monotone:4", "--algo", "eg",
-             "--alpha", "0.1", "--iters", "5", "--out", str(out)],
-            capsys,
-        )
-        assert code == 0
-        out2 = tmp_path / "s2.csv"
-        monkeypatch.delenv("ANCHORED_MINIMAX_SEED")
-        code, _, _ = invoke(
-            ["run", "--problem", "random-monotone:4:3", "--algo", "eg",
-             "--alpha", "0.1", "--iters", "5", "--out", str(out2)],
-            capsys,
-        )
-        assert out.read_bytes() == out2.read_bytes()
-
 
 class TestCertifyCommand:
     def test_stepsize_pass(self, capsys):
@@ -590,50 +572,28 @@ class TestFlowCommand:
         assert len(rows) == 51
 
 
-def test_instance_file_as_run_problem(tmp_path, capsys):
-    from anchored_minimax import build_hard_instance, save_instance
-
-    inst = build_hard_instance(4)
-    path = tmp_path / "inst.txt"
-    save_instance(inst, path)
+def test_hard_spec_as_run_problem(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code, _, _ = invoke(
-        ["run", "--problem", str(path), "--algo", "eag-v", "--alpha0", "0.5",
+        ["run", "--problem", "hard:4", "--algo", "eag-v", "--alpha0", "0.5",
          "--iters", "8", "--out", str(out)],
         capsys,
     )
     assert code == 0
     header, rows = read_csv(out)
     assert len(rows) == 9
+    inst = lowerbound.build_hard_instance(4)
+    zs = inst.saddle.saddle_point.coords
+    assert float(rows[0][-1]) == pytest.approx(float(zs @ zs))  # started at the origin
 
 
-@pytest.mark.parametrize(
-    "edit, needle",
-    [
-        (lambda text: text + "nn=5\n", "instance fields ['k', 'n', 'R', 'D', 'nn']"),
-        # a repeated key is refused, not overridden by its last value
-        (lambda text: text + "D=5\n", "instance fields ['k', 'n', 'R', 'D', 'D']"),
-        (lambda text: text + "D 5\n", "instance file line 'D 5' is not key=value"),
-        (lambda text: text.replace("n=4\n", ""), "need each of k, n, R and D exactly once"),
-        # nodes 5x the declared R, as an older file would have held them
-        (lambda text: text + "lambdas=-5,-2.5,2.5,5\n",
-         "instance field lambdas is rebuilt from k and R; delete its line"),
-    ],
-    ids=["unknown-key", "repeated-key", "no-equals", "missing-key", "leftover-lambdas"],
-)
-def test_bad_instance_file_exits_2(tmp_path, capsys, edit, needle):
-    from anchored_minimax import build_hard_instance, save_instance
-
-    path = tmp_path / "inst.txt"
-    save_instance(build_hard_instance(2), path)
-    path.write_text(edit(path.read_text()))
-    code, _, err = invoke(
-        ["run", "--problem", str(path), "--algo", "eag-v", "--alpha0", "0.5",
-         "--iters", "8", "--out", str(tmp_path / "run.csv")],
-        capsys,
-    )
-    assert code == 2
-    assert needle in err
+def test_file_named_like_a_preset_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    argv = ["run", "--problem", "bilinear-unit", "--algo", "eag-v", "--iters", "5"]
+    assert invoke([*argv, "--out", str(tmp_path / "want.csv")], capsys)[0] == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bilinear-unit").write_text("hello\n")
+    assert invoke([*argv, "--out", "got.csv"], capsys)[0] == 0
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -659,12 +619,15 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, edit, needle):
         (["lowerbound", "--k", "4", "--D", "1e-200"], 2, "error: "),
         (["lowerbound", "--k", "4", "--R", "1e200", "--D", "1e200"], 2, "error: "),
         (["lowerbound", "--k", "4", "--R", "1e-160", "--D", "1e160"], 2, "error: "),
+        (["lowerbound", "--k", "6", "--algo", "eag-v", "--iters", "0"], 2, "error: "),
+        (["run", "--problem", "hard:6:1:1:7", "--algo", "eag-v", "--alpha0", "0.5"],
+         2, "error: "),
     ],
     ids=["run-eag-v-step", "lowerbound-eag-v-step", "lowerbound-eg-zero-step",
          "flow-eag-v-step", "flow-eg-zero-step", "flow-divergence",
          "preset-not-an-int", "config-choice", "run-infinite-step", "flow-infinite-end",
          "lowerbound-zero-D", "lowerbound-underflow-D", "lowerbound-overflow-RD",
-         "lowerbound-overflow-D-squared"],
+         "lowerbound-overflow-D-squared", "lowerbound-zero-iters", "hard-spec-small-n"],
 )
 def test_package_errors_map_to_exit_codes(tmp_path, argv, code, prefix):
     # a real process, so an escaping exception shows as its traceback

@@ -48,7 +48,9 @@ class TestPoint:
         assert z.y.tolist() == [3.0]
 
     def test_join(self):
-        z = Point.join([1.0, 2.0], [3.0])
+        xy = np.array([1.0, 2.0, 3.0])
+        z = Point(xy, 2)
+        xy[0] = 9.0  # the point holds its own copy of the joint vector
         assert z.split == 2 and z.coords.tolist() == [1.0, 2.0, 3.0]
 
     def test_split_bounds(self):

@@ -19,11 +19,10 @@ from anchored_minimax import (
     chebyshev_solver,
     dual_weights,
     krylov_min_residual,
-    load_instance,
+    load_preset,
     minimax_poly,
     run,
     sandwich,
-    save_instance,
     verify_lower_bound,
 )
 from anchored_minimax import lowerbound
@@ -35,10 +34,10 @@ from anchored_minimax.lowerbound import (
 )
 
 
-def saddle_bytes(instance):
+def saddle_bytes(problem):
     """The saddle point and the operator at a fixed point, as bytes."""
-    z = np.random.default_rng(0).normal(size=2 * instance.n)
-    return instance.saddle.saddle_point.coords.tobytes() + instance.saddle.operator(z).tobytes()
+    z = np.random.default_rng(0).normal(size=problem.dim)
+    return problem.saddle_point.coords.tobytes() + problem.operator(z).tobytes()
 
 
 def reference_report(instance, trace, k=None, span_tol=1e-8):
@@ -301,18 +300,17 @@ class TestHardInstance:
         inst = build_hard_instance(4, R=1.1e-154, D=1e153)
         assert 0 < inst.floor < math.inf
 
-    def test_roundtrip_export(self, tmp_path):
-        inst = build_hard_instance(7, R=1.5, D=0.5, n=12)
-        path = tmp_path / "instance.txt"
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert np.array_equal(loaded.diag, inst.diag)
-        assert np.array_equal(loaded.b, inst.b)
-        assert saddle_bytes(loaded) == saddle_bytes(inst)
-        assert path.read_text() == "# hard biaffine instance\nk=7\nn=12\nR=1.5\nD=0.5\n"
-        path2 = tmp_path / "again.txt"
-        save_instance(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
+    @pytest.mark.parametrize(
+        "spec, args",
+        [("hard:6", (6,)), ("hard:6:1.3:0.7:9", (6, 1.3, 0.7, 9)),
+         ("hard:6:1.3:0.7", (6, 1.3, 0.7)), ("hard:7:1.5:0.5:12", (7, 1.5, 0.5, 12)),
+         ("hard:256:0.7:1.9:260", (256, 0.7, 1.9, 260))],
+    )
+    def test_preset_spec_names_the_built_instance(self, spec, args):
+        problem, z0 = load_preset(spec)
+        inst = build_hard_instance(*args)
+        assert saddle_bytes(problem) == saddle_bytes(inst.saddle)
+        assert (z0.split, z0.coords.tolist()) == (inst.n, [0.0] * (2 * inst.n))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -321,79 +319,11 @@ class TestHardInstance:
         D=st.floats(0.0, 1e3),
         extra=st.integers(0, 5),
     )
-    def test_roundtrip_export_random(self, tmp_path_factory, k, R, D, extra):
+    def test_preset_spec_roundtrip_random(self, k, R, D, extra):
+        # repr round-trips a float, so the spec rebuilds the instance bit for bit
         inst = build_hard_instance(k, R, D, n=k + 2 + extra)
-        path = tmp_path_factory.mktemp("roundtrip") / "instance.txt"
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert (loaded.k, loaded.n, loaded.R, loaded.D) == (inst.k, inst.n, R, D)
-        assert np.array_equal(loaded.diag, inst.diag)
-        assert np.array_equal(loaded.b, inst.b)
-        assert saddle_bytes(loaded) == saddle_bytes(inst)
-
-    def test_roundtrip_export_deep(self, tmp_path):
-        inst = build_hard_instance(256, R=0.7, D=1.9, n=260)
-        path = tmp_path / "deep.txt"
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert np.array_equal(loaded.diag, inst.diag)
-        assert np.array_equal(loaded.b, inst.b)
-        assert saddle_bytes(loaded) == saddle_bytes(inst)
-
-    @pytest.mark.parametrize(
-        "field, text, needle",
-        [
-            ("n", "3", "n >= k + 2"),
-            ("R", "0", "R > 0"),
-            ("D", "inf", "D >= 0"),
-            ("k", "two", "instance field k"),
-        ],
-    )
-    def test_load_rejects_bad_fields(self, tmp_path, field, text, needle):
-        path = tmp_path / "bad.txt"
-        save_instance(build_hard_instance(2), path)
-        lines = [
-            f"{field}={text}" if line.startswith(f"{field}=") else line
-            for line in path.read_text().splitlines()
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ContractError, match=re.escape(needle)):
-            load_instance(path)
-
-    @pytest.mark.parametrize(
-        "field, change",
-        [("lambdas", lambda v: 5 * v), ("lambdas", lambda v: v + 1e-9 * np.arange(len(v))),
-         ("mu", lambda v: np.roll(v, 1)), ("mu", lambda v: v * (1 + 1e-13))],
-        ids=["scaled-nodes", "nudged-nodes", "rolled-weights", "nudged-weights"],
-    )
-    def test_load_accepts_only_the_canonical_instance(self, tmp_path, field, change):
-        # a file whose nodes are 5x the declared R used to load, and EAG-V on
-        # it diverged to grad_sq = 2.5e76 next to a floor of 0.015
-        # the file holds no nodes or weights, so any such line is refused
-        path = tmp_path / "tampered.txt"
-        save_instance(build_hard_instance(6), path)
-        canonical = {"lambdas": chebyshev_nodes(6, 1.0), "mu": dual_weights(6)}
-        vals = change(canonical[field])
-        with open(path, "a") as f:
-            f.write(f"{field}=" + ",".join(f"{v:.17g}" for v in vals) + "\n")
-        needle = f"instance field {field} is rebuilt from k and R; delete its line"
-        with pytest.raises(ContractError, match=re.escape(needle)):
-            load_instance(path)
-
-    @pytest.mark.parametrize("key", ["k", "n", "R", "D"])
-    def test_load_rejects_a_missing_key(self, tmp_path, key):
-        path = tmp_path / "short.txt"
-        save_instance(build_hard_instance(6), path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(l for l in lines if not l.startswith(f"{key}=")))
-        with pytest.raises(ContractError, match="need each of k, n, R and D exactly once"):
-            load_instance(path)
-
-    def test_load_skips_blank_and_comment_lines(self, tmp_path):
-        path = tmp_path / "spaced.txt"
-        path.write_text("\n# depth\nk=6\n\n  n=9  \n# radii\nR=1.3\nD=0.7\n")
-        loaded = load_instance(path)
-        assert saddle_bytes(loaded) == saddle_bytes(build_hard_instance(6, 1.3, 0.7, 9))
+        problem, _ = load_preset(f"hard:{k}:{R!r}:{D!r}:{inst.n}")
+        assert saddle_bytes(problem) == saddle_bytes(inst.saddle)
 
 
 @pytest.mark.parametrize("k", [*range(1, 65), 128, 256, 512, 1000])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -438,11 +439,18 @@ class TestIntegrateFlow:
             FlowSpec(kind, **{**args, field: value})
 
 
-def test_unknown_preset_rejected():
-    with pytest.raises(ContractError):
-        load_preset("no-such-problem")
-    with pytest.raises(ContractError):
-        load_preset("random-monotone:8")  # seed segment missing
+@pytest.mark.parametrize(
+    "name",
+    ["no-such-problem",
+     "random-monotone:8",  # seed segment missing
+     "hard:", "hard:x", "hard:6.5", "hard:6:1.3", "hard:6:1:1:9:1",
+     "hard:6:nan:1", "hard:6:1:inf", "hard:6:1:1:7", "hard:0"],
+)
+def test_unknown_preset_rejected(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a Warning fails the test
+        with pytest.raises(ContractError):
+            load_preset(name)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_STEP_SIZES))
