@@ -389,12 +389,16 @@ def _spec_fields(name: str, usage: str, types: tuple, counts: tuple[int, ...]) -
     """The fields after a spec's first colon, converted by ``types`` in order.
 
     A count outside ``counts``, or a field its type rejects, raises
-    ContractError naming ``usage``.
+    ContractError naming ``usage``. ``int`` and ``float`` also take
+    underscores, surrounding spaces and non-ASCII digits; those are refused
+    here, so a mistyped spec cannot load as another problem.
     """
     fields = name.split(":")[1:]
     try:
         if len(fields) not in counts:
             raise ValueError(f"{len(fields)} fields")
+        if any("_" in f or f.strip() != f or not f.isascii() for f in fields):
+            raise ValueError("field with an underscore, a space or a non-ASCII character")
         return [conv(field) for conv, field in zip(types, fields)]
     except ValueError as exc:
         raise ContractError(f"bad preset {name!r}; use {usage}") from exc

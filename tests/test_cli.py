@@ -597,6 +597,33 @@ def test_file_named_like_a_preset_does_not_shadow_it(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["run", "--algo", "eg", "--alpha", "0.1"], ["certify", "lyapunov"]],
+    ids=["run", "certify"],
+)
+def test_seed_option_is_gone(argv, capsys):
+    # random-monotone:<n>:<seed> is the one spelling of a seeded problem
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", "random-monotone:4:3", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_seed_environment_variable_is_not_read(tmp_path):
+    # it used to set the default of --seed, and "abc" ended in a traceback
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "ANCHORED_MINIMAX_SEED": "abc"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchored_minimax.cli", "run", "--problem", "bilinear-unit",
+         "--algo", "eag-v", "--iters", "5", "--out", "run.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(read_csv(tmp_path / "run.csv")[1]) == 6
+
+
+@pytest.mark.parametrize(
     "argv, code, prefix",
     [
         (["run", "--problem", "bilinear-unit", "--algo", "eag-v",

@@ -325,6 +325,17 @@ class TestHardInstance:
         problem, _ = load_preset(f"hard:{k}:{R!r}:{D!r}:{inst.n}")
         assert saddle_bytes(problem) == saddle_bytes(inst.saddle)
 
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [("hard:2:1:1:3", "n >= k + 2"), ("hard:2:0:1", "R > 0"),
+         ("hard:2:1:inf", "D >= 0"), ("hard:two", "bad preset 'hard:two'")],
+        ids=["n", "R", "D", "k"],
+    )
+    def test_preset_spec_rejects_bad_fields(self, spec, needle):
+        # range checks are build_hard_instance's, so the spec names its field
+        with pytest.raises(ContractError, match=re.escape(needle)):
+            load_preset(spec)
+
 
 @pytest.mark.parametrize("k", [*range(1, 65), 128, 256, 512, 1000])
 def test_three_way_sandwich_at_depth(k):

@@ -444,7 +444,9 @@ class TestIntegrateFlow:
     ["no-such-problem",
      "random-monotone:8",  # seed segment missing
      "hard:", "hard:x", "hard:6.5", "hard:6:1.3", "hard:6:1:1:9:1",
-     "hard:6:nan:1", "hard:6:1:inf", "hard:6:1:1:7", "hard:0"],
+     "hard:6:nan:1", "hard:6:1:inf", "hard:6:1:1:7", "hard:0",
+     # int and float take these, but a typo must not load as another problem
+     "hard:1_0", "hard: 6", "random-monotone: 8:1", "hard:\u0666"],
 )
 def test_unknown_preset_rejected(name):
     with warnings.catch_warnings():
