@@ -5,13 +5,13 @@ The two accelerated methods and extragradient share the update
     z_half = z_k + beta_k (z0 - z_k) - alpha_k G(z_k)
     z_next = z_k + beta_k (z0 - z_k) - alpha_k G(z_half)
 
-with anchoring coefficients beta_k = 1/(k + delta), delta = 2 by default,
-and beta_k = 0 for extragradient.
-The constant-step variant keeps alpha fixed; the varying-step variant drives
-alpha_k by a recurrence that decreases monotonically to a positive limit and
-admits a cleaner Lyapunov proof. Baselines: extragradient, optimistic descent
-(Popov), simultaneous descent with anchoring (SimGD-A), alternating
-descent-ascent, and plain simultaneous descent.
+with beta_k = 1/(k + delta), delta = 2 by default, and beta_k = 0 for
+extragradient. The constant-step variant keeps alpha fixed; the varying-step
+variant drives alpha_k by a recurrence that decreases monotonically to a
+positive limit and admits a cleaner Lyapunov proof. Baselines: extragradient,
+optimistic descent (Popov), simultaneous descent with anchoring (SimGD-A),
+alternating descent-ascent, and plain simultaneous descent. The table
+``_METHODS`` holds each one's cost, step-size check, step and rate bound.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,18 +50,6 @@ class AlgoKind(str, Enum):
     SIMGD_A = "simgd-a"
     ALT_GDA = "alt-gda"
     SIM_GD = "sim-gd"
-
-
-# joint operator evaluations consumed per iteration
-_EVALS_PER_ITER = {
-    AlgoKind.EAG_C: 2,
-    AlgoKind.EAG_V: 2,
-    AlgoKind.EG: 2,
-    AlgoKind.POPOV: 1,
-    AlgoKind.SIMGD_A: 1,
-    AlgoKind.ALT_GDA: 2,
-    AlgoKind.SIM_GD: 1,
-}
 
 
 @dataclass(frozen=True)
@@ -176,6 +166,14 @@ def eag_v_alpha_next(alpha_k: float, k: int, R: float, delta: float = 2.0) -> fl
     return alpha_k * (1.0 - (a * a / (1.0 - a * a)) / ((k + delta - 1) * (k + delta + 1)))
 
 
+def _eag_v_alphas(alpha0: float, R: float, iters: int, delta: float = 2.0) -> list[float]:
+    """alpha_0..alpha_iters of the varying-step method; alpha0 * R must lie in (0, 3/4)."""
+    if not 0 < alpha0 * R < 0.75:
+        raise ContractError(f"varying-step method needs alpha0 * R in (0, 3/4), got {alpha0 * R}")
+    next_alpha = partial(eag_v_alpha_next, R=R, delta=delta)
+    return list(accumulate(range(iters), next_alpha, initial=alpha0))
+
+
 # recurrence steps taken before the closed-form tail
 ALPHA_LIMIT_STEPS = 4096
 
@@ -192,11 +190,7 @@ def eag_v_alpha_limit(alpha0: float, R: float) -> float:
     ends, which cancels that to first order. Agrees with 4*10^6 recurrence
     steps to 4e-11 relative, the rounding of those steps themselves.
     """
-    if not 0 < alpha0 * R < 0.75:
-        raise ContractError(f"alpha0 * R = {alpha0 * R} outside (0, 3/4)")
-    a = alpha0
-    for k in range(ALPHA_LIMIT_STEPS):
-        a = eag_v_alpha_next(a, k, R)
+    a = _eag_v_alphas(alpha0, R, ALPHA_LIMIT_STEPS)[-1]
     K = ALPHA_LIMIT_STEPS
     S = 0.5 * (1.0 / (K + 1) + 1.0 / (K + 2))
 
@@ -206,6 +200,121 @@ def eag_v_alpha_limit(alpha0: float, R: float) -> float:
 
     c_K = c(a)
     return a * math.exp(-0.5 * (c_K + c(a * math.exp(-c_K * S))) * S)
+
+
+def check_eag_c_stepsize(alphaR: float) -> bool:
+    """True iff the constant step size satisfies both polynomial conditions.
+
+    1 - 3aR - (aR)^2 - (aR)^3 >= 0  and  1 - 8aR + (aR)^2 - 2(aR)^3 >= 0.
+    Both hold on (0, 1/(8R)]; the second fails slightly below 0.1265.
+    """
+    a = alphaR
+    if not a > 0:
+        raise ContractError("alphaR must be > 0")
+    return (1 - 3 * a - a**2 - a**3 >= 0) and (1 - 8 * a + a**2 - 2 * a**3 >= 0)
+
+
+def _eag_c_alphas(config: AlgoConfig, R: float) -> list[float]:
+    if not check_eag_c_stepsize(config.alpha0 * R):
+        warnings.warn(f"alpha * R = {config.alpha0 * R} fails the constant-step size "
+                      "conditions; no convergence guarantee applies", RuntimeWarning, stacklevel=3)
+    return [config.alpha0] * (config.iters + 1)
+
+
+def _eag(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: list[float]):
+    op, delta = problem.operator, config.anchor_delta
+    return lambda k, z, g, d: _extragradient(op, z - d * (1.0 / (k + delta)), g, alphas[k])
+
+
+def _eg(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
+    op, a = problem.operator, config.alpha0
+    return lambda k, z, g, d: _extragradient(op, z, g, a)
+
+
+def _popov(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
+    a, g_prev = config.alpha0, None
+
+    def step(k, z, g, d):
+        nonlocal g_prev
+        # G(z^{-1}) := G(z^0), so the first step is a plain gradient step
+        z = z - a * g - a * (g - (g if g_prev is None else g_prev))
+        g_prev = g
+        return z
+    return step
+
+
+def _simgd_a(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
+    p, gamma = config.simgd_p, config.simgd_gamma
+    return lambda k, z, g, d: z - (1 - p) / (k + 1) ** p * g + (1 - p) * gamma / (k + 1) * (z0 - z)
+
+
+def _alt_gda(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
+    op, a, nx = problem.operator, config.alpha0, problem.dim_x
+
+    def step(k, z, g, d):
+        x_new = z[:nx] - a * g[:nx]
+        g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
+        # y-block of G is -grad_y L, so ascent in y subtracts it
+        return np.concatenate([x_new, z[nx:] - a * g_mid[nx:]])
+    return step
+
+
+def _sim_gd(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
+    a = config.alpha0
+    return lambda k, z, g, d: z - a * g
+
+
+def _eag_c_rate(alpha: float, R: float, delta: float, alpha_inf: float | None = None):
+    a = alpha * R
+    if delta != 2.0 or not check_eag_c_stepsize(a):
+        return None
+    const = 4 * (1 + a + a * a) / (alpha**2 * (1 + a))
+    return lambda k, D: const * D * D / (k + 1) ** 2
+
+
+def _eag_v_rate(alpha0: float, R: float, delta: float, alpha_inf: float | None = None):
+    if delta != 2.0:
+        return None
+    ainf = alpha_inf if alpha_inf is not None else eag_v_alpha_limit(alpha0, R)
+    const = 4 * (1 + alpha0 * ainf * R * R) / ainf**2
+    return lambda k, D: const * D * D / ((k + 1) * (k + 2))
+
+
+def _eg_rate(alpha: float, R: float, delta: float, alpha_inf: float | None = None):
+    a = alpha * R
+    return (lambda k, D: D * D / (alpha**2 * (1 - a * a) * (k + 1))) if a < 1 else None
+
+
+@dataclass(frozen=True)
+class _Method:
+    """A row of the method table: all that tells one method from another.
+
+    ``alphas(config, R)`` checks the step size and gives an anchored method's
+    alpha_0..alpha_iters, else None. ``step(config, problem, z0, alphas)``
+    builds ``(k, z, G(z), d) -> z^{k+1}``, d = z - z0 if anchored, else None.
+    ``rate(alpha, R, delta, alpha_inf)`` is the published bound as a function
+    of (k, D), None where no theorem covers the run: the anchored rates need
+    delta = 2, EAG-C's its step-size conditions, and extragradient's alpha R < 1.
+    """
+
+    cost: int  # operator calls per iteration
+    step: Callable
+    alphas: Callable[[AlgoConfig, float], list[float] | None] = lambda config, R: None
+    rate: Callable = lambda alpha, R, delta, alpha_inf=None: None
+    varying: bool = False  # the step size changes with k
+    alpha_default: float | None = None  # the step size if a caller gives none
+
+
+_METHODS = {
+    AlgoKind.EAG_C: _Method(2, _eag, _eag_c_alphas, _eag_c_rate),
+    AlgoKind.EAG_V: _Method(2, _eag, lambda config, R: _eag_v_alphas(
+        config.alpha0, R, config.iters, config.anchor_delta), _eag_v_rate, varying=True),
+    AlgoKind.EG: _Method(2, _eg, rate=_eg_rate),
+    AlgoKind.POPOV: _Method(1, _popov),
+    AlgoKind.SIMGD_A: _Method(1, _simgd_a, alpha_default=1.0),  # steps from p and gamma
+    AlgoKind.ALT_GDA: _Method(2, _alt_gda),
+    AlgoKind.SIM_GD: _Method(1, _sim_gd),
+}
 
 
 def run(
@@ -220,9 +329,9 @@ def run(
     Deterministic given (problem, config, z0). Every pass k = 0..iters
     evaluates G(z^k) once and records it; passes k < iters then update z.
     Raises NumericalDivergenceError naming the iteration if an iterate goes
-    non-finite. For the varying-step method, alpha_k * R < 1 is asserted
-    every iteration; anchored methods record alphas and anchor_inner
-    (length iters + 1).
+    non-finite. A bad step size or step-size schedule raises ContractError
+    before the first operator call. Anchored methods record alphas and
+    anchor_inner (length iters + 1).
 
     The iterates at ``store_plan(iters, dense)`` go to ``Trace.iterates``, or,
     if ``keep`` is given, each to ``keep(z)`` in that order, leaving
@@ -231,28 +340,22 @@ def run(
     """
     if z0.dim != problem.dim or z0.split != problem.dim_x:
         raise ContractError("z0 does not match problem dimensions")
-    R = problem.lipschitz
-    kind, K = config.kind, config.iters
-    _validate_stepsize(config, R)
+    kind, K, z0c = config.kind, config.iters, z0.coords
+    method = _METHODS[kind]
+    schedule = method.alphas(config, problem.lipschitz)
+    step = method.step(config, problem, z0c, schedule)
 
     op = problem.operator
     plan = store_plan(K, dense)
     store = None if len(plan) == K + 1 else set(plan.tolist())
-    varying = kind == AlgoKind.EAG_V
-    anchored = varying or kind == AlgoKind.EAG_C
-    cost, nx = _EVALS_PER_ITER[kind], problem.dim_x
 
     grad_sq = np.empty(K + 1)
-    oracle_calls = cost * np.arange(K + 1, dtype=np.int64)
+    oracle_calls = method.cost * np.arange(K + 1, dtype=np.int64)
     iterates: list[np.ndarray] = []
     keep = iterates.append if keep is None else keep
-    alphas = np.empty(K + 1) if anchored else None
-    anchor_inner = np.empty(K + 1) if anchored else None
-
-    z0c = z0.coords
-    z = z0c.copy()
-    a, delta = config.alpha0, config.anchor_delta
-    g_prev = None
+    alphas = None if schedule is None else np.array(schedule, dtype=float)
+    anchor_inner = None if schedule is None else np.empty(K + 1)
+    z, d = z0c.copy(), None
 
     # divergence is detected per iteration and raised with a diagnostic, so
     # numpy's own overflow warnings are redundant noise here
@@ -268,40 +371,12 @@ def run(
                 keep(z)  # every z is a fresh array, never written
             g = np.asarray(op(z), dtype=float)
             grad_sq[k] = g.dot(g)
-            if anchored:
-                alphas[k] = a
+            if alphas is not None:
                 d = z - z0c
                 anchor_inner[k] = g.dot(d)
             if k == K:
                 break
-            if anchored:
-                if varying and not a * R < 1:
-                    raise NumericalDivergenceError(
-                        f"alpha_{k} * R = {a * R} >= 1; "
-                        "varying-step hypothesis broken"
-                    )
-                z = _extragradient(op, z - d * (1.0 / (k + delta)), g, a)
-                if varying:
-                    a = eag_v_alpha_next(a, k, R, delta)
-            elif kind == AlgoKind.EG:
-                z = _extragradient(op, z, g, a)
-            elif kind == AlgoKind.POPOV:
-                # G(z^{-1}) := G(z^0), so the first step is a plain gradient step
-                z = z - a * g - a * (g - (g if g_prev is None else g_prev))
-                g_prev = g
-            elif kind == AlgoKind.SIMGD_A:
-                p, gamma = config.simgd_p, config.simgd_gamma
-                z = (
-                    z - (1 - p) / (k + 1) ** p * g
-                    + (1 - p) * gamma / (k + 1) * (z0c - z)
-                )
-            elif kind == AlgoKind.ALT_GDA:
-                x_new = z[:nx] - a * g[:nx]
-                g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
-                # y-block of G is -grad_y L, so ascent in y subtracts it
-                z = np.concatenate([x_new, z[nx:] - a * g_mid[nx:]])
-            else:  # SIM_GD
-                z = z - a * g
+            z = step(k, z, g, d)
 
     return Trace(
         kind=kind,
@@ -312,27 +387,8 @@ def run(
         oracle_calls=oracle_calls,
         alphas=alphas,
         anchor_inner=anchor_inner,
-        anchor_delta=delta,
+        anchor_delta=config.anchor_delta,
     )
-
-
-def _validate_stepsize(config: AlgoConfig, R: float) -> None:
-    aR = config.alpha0 * R
-    if config.kind == AlgoKind.EAG_V:
-        if not 0 < aR < 0.75:
-            raise ContractError(
-                f"varying-step method requires alpha0 * R in (0, 3/4), got {aR}"
-            )
-    elif config.kind == AlgoKind.EAG_C:
-        from .certificates import check_eag_c_stepsize
-
-        if not check_eag_c_stepsize(aR):
-            warnings.warn(
-                f"alpha * R = {aR} fails the constant-step size conditions; "
-                "no convergence guarantee applies",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
 
 def theoretical_bound(
@@ -340,15 +396,16 @@ def theoretical_bound(
     k: int | np.ndarray,
     R: float,
     D: float,
-    alpha: float | None = None,
-    alpha0: float | None = None,
+    alpha: float,
     alpha_inf: float | None = None,
 ) -> float:
-    """Published rate bound on ||G(z^k)||^2 for the given method.
+    """Published rate bound on ||G(z^k)||^2 for a method at step size alpha.
 
     Constant-step: 4(1+aR+a^2R^2)/(a^2(1+aR)) * D^2/(k+1)^2.
-    Varying-step:  4(1+a0*ainf*R^2)/ainf^2 * D^2/((k+1)(k+2)).
+    Varying-step (a0 = alpha): 4(1+a0*ainf*R^2)/ainf^2 * D^2/((k+1)(k+2)).
     Extragradient (best iterate): D^2/(a^2 (1-a^2R^2) (k+1)).
+    A method without one, or an alpha its theorem does not cover, raises
+    ContractError (see ``_Method``).
 
     ``k`` is an int or an int array; the formula broadcasts over it and gives
     each element the scalar call's value bit for bit. Every k must be >= 0,
@@ -358,23 +415,7 @@ def theoretical_bound(
         raise ContractError("k must be >= 0")
     if not (0 < R < math.inf and 0 <= D < math.inf):
         raise ContractError(f"need finite R > 0 and D >= 0, got R = {R}, D = {D}")
-    if kind == AlgoKind.EAG_C:
-        if alpha is None:
-            raise ContractError("constant-step bound needs alpha")
-        a = alpha * R
-        const = 4 * (1 + a + a * a) / (alpha**2 * (1 + a))
-        return const * D * D / (k + 1) ** 2
-    if kind == AlgoKind.EAG_V:
-        if alpha0 is None:
-            raise ContractError("varying-step bound needs alpha0")
-        ainf = alpha_inf if alpha_inf is not None else eag_v_alpha_limit(alpha0, R)
-        const = 4 * (1 + alpha0 * ainf * R * R) / ainf**2
-        return const * D * D / ((k + 1) * (k + 2))
-    if kind == AlgoKind.EG:
-        if alpha is None:
-            raise ContractError("extragradient bound needs alpha")
-        a = alpha * R
-        if not a < 1:
-            raise ContractError(f"extragradient bound needs alpha * R < 1, got {a}")
-        return D * D / (alpha**2 * (1 - a * a) * (k + 1))
-    raise ContractError(f"no published rate bound for {kind}")
+    bound = _METHODS[kind].rate(alpha, R, 2.0, alpha_inf)
+    if bound is None:
+        raise ContractError(f"no published rate bound for {kind.value} at alpha * R = {alpha * R}")
+    return bound(k, D)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Trace
+from .algorithms import Trace, check_eag_c_stepsize
 from .core import CertificateError, ContractError, SaddleProblem, check_count
 
 __all__ = [
@@ -37,18 +37,6 @@ __all__ = [
     "s_matrix",
     "certificate_null_vector",
 ]
-
-
-def check_eag_c_stepsize(alphaR: float) -> bool:
-    """True iff the constant step size satisfies both polynomial conditions.
-
-    1 - 3aR - (aR)^2 - (aR)^3 >= 0  and  1 - 8aR + (aR)^2 - 2(aR)^3 >= 0.
-    Both hold on (0, 1/(8R)]; the second fails slightly below 0.1265.
-    """
-    a = alphaR
-    if not a > 0:
-        raise ContractError("alphaR must be > 0")
-    return (1 - 3 * a - a**2 - a**3 >= 0) and (1 - 8 * a + a**2 - 2 * a**3 >= 0)
 
 
 def lyapunov_sequence(trace: Trace, problem: SaddleProblem) -> np.ndarray:

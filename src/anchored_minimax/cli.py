@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .algorithms import AlgoConfig, AlgoKind, eag_v_alpha_limit, run, theoretical_bound
+from .algorithms import _METHODS, AlgoConfig, AlgoKind, run
 from .certificates import (
     CASE_TAGS,
     check_eag_c_stepsize,
@@ -110,57 +110,33 @@ def _saddle_distances(zs: np.ndarray | None):
     return keep, distances
 
 
-def _alpha_default(preset: str, algo: str) -> float | None:
-    return PRESET_STEP_SIZES.get(preset, {}).get(algo)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.problem is None or args.algo is None:
         raise ContractError("--problem and --algo are required")
     problem, z0 = load_preset(args.problem)
     kind = AlgoKind(args.algo)
+    method = _METHODS[kind]
     alpha = args.alpha0 if args.alpha0 is not None else args.alpha
     if alpha is None:
-        alpha = _alpha_default(args.problem, kind.value)
-    if alpha is None and kind == AlgoKind.SIMGD_A:
-        alpha = 1.0  # SimGD-A's schedule comes from p and gamma, not alpha
+        alpha = PRESET_STEP_SIZES.get(args.problem, {}).get(kind.value, method.alpha_default)
     if alpha is None:
         raise ContractError(f"no step size given and no default for {args.problem}/{kind.value}")
-    config = AlgoConfig(
-        kind=kind,
-        alpha0=alpha,
-        iters=args.iters,
-        anchor_delta=args.anchor_delta,
-        simgd_p=args.simgd_p,
-        simgd_gamma=args.simgd_gamma,
-    )
+    config = AlgoConfig(kind, alpha, args.iters, anchor_delta=args.anchor_delta,
+                        simgd_p=args.simgd_p, simgd_gamma=args.simgd_gamma)
     zs = problem.saddle_point.coords if problem.saddle_point is not None else None
     keep, distances = _saddle_distances(zs)
     trace = run(problem, config, z0, dense=args.dense, keep=keep)
     dists = distances()
 
-    R = problem.lipschitz
-    D = float(np.linalg.norm(z0.coords - zs)) if zs is not None else None
-    # no theorem, no bound column: the anchored rates are proved for
-    # delta = 2, EAG-C's under its step-size conditions, EG's for alpha R < 1
-    anchored_rate = config.anchor_delta == 2.0 and (
-        kind == AlgoKind.EAG_V
-        or kind == AlgoKind.EAG_C and check_eag_c_stepsize(alpha * R)
-    )
-    with_bound = (
-        args.bound
-        and D is not None
-        and (anchored_rate or kind == AlgoKind.EG and alpha * R < 1)
-    )
-    ainf = (
-        eag_v_alpha_limit(alpha, R) if with_bound and kind == AlgoKind.EAG_V else None
-    )
-    with_alpha = trace.alphas is not None and kind == AlgoKind.EAG_V
+    # no theorem, no bound column
+    bound = args.bound and zs is not None and method.rate(
+        alpha, problem.lipschitz, args.anchor_delta)
+    D = float(np.linalg.norm(z0.coords - zs)) if bound else None
 
     header = ["k", "grad_sq"]
-    if with_bound:
+    if bound:
         header.append("bound")
-    if with_alpha:
+    if method.varying:
         header.append("alpha_k")
     header.append("oracle_calls")
     if zs is not None:
@@ -169,11 +145,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     def block(sl: slice) -> list:
         ks = trace.stored_ks[sl]
         columns = [map(str, ks.tolist()), _fmt_col(trace.grad_sq[ks])]
-        if with_bound:
-            columns.append(_fmt_col(theoretical_bound(
-                kind, ks, R, D, alpha=alpha, alpha0=alpha, alpha_inf=ainf
-            )))
-        if with_alpha:
+        if bound:
+            columns.append(_fmt_col(bound(ks, D)))
+        if method.varying:
             columns.append(_fmt_col(trace.alphas[ks]))
         columns.append(map(str, trace.oracle_calls[ks].tolist()))
         if dists is not None:
@@ -223,12 +197,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     # lyapunov
     problem, z0 = load_preset(args.problem)
-    config = AlgoConfig(
-        kind=AlgoKind.EAG_V,
-        alpha0=args.alpha0,
-        iters=args.iters,
-        anchor_delta=args.anchor_delta,
-    )
+    config = AlgoConfig(AlgoKind.EAG_V, args.alpha0, args.iters, anchor_delta=args.anchor_delta)
     trace = run(problem, config, z0, keep=_drop)  # V reads no iterate
     V = lyapunov_sequence(trace, problem)
     R = problem.lipschitz
@@ -261,6 +230,13 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     if args.k is None:
         raise ContractError("--k is required")
     inst = build_hard_instance(args.k, args.R, args.D, args.n)
+    if args.algo is not None:  # a bad option fails before anything is printed
+        kind = AlgoKind(args.algo)
+        # only iterates whose oracle budget is within k are checked
+        iters = args.iters if args.iters is not None else max(1, args.k // _METHODS[kind].cost)
+        config = AlgoConfig(kind, args.alpha, iters)
+        trace = run(inst.saddle, config, Point(np.zeros(2 * inst.n), inst.n), dense=True)
+        report = verify_lower_bound(inst, trace)
     target, kry, cheb = sandwich(inst)
     rel = max(abs(kry - target), abs(cheb - target)) / target
     ok = rel <= 1e-8
@@ -272,12 +248,6 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     names, values = ["closed_form", "krylov", "chebyshev"], [target, kry, cheb]
     algo_ok = True
     if args.algo is not None:
-        kind = AlgoKind(args.algo)
-        iters = args.iters if args.iters is not None else max(2, args.k)
-        config = AlgoConfig(kind=kind, alpha0=args.alpha, iters=iters)
-        z0 = Point(np.zeros(2 * inst.n), inst.n)
-        trace = run(inst.saddle, config, z0, dense=True)
-        report = verify_lower_bound(inst, trace)
         algo_ok = report.applicable and report.verdict
         print(
             f"{kind.value} on hard instance: "
@@ -311,11 +281,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if args.overlay_algo is not None:
         problem, _ = load_preset("bilinear-unit")
         z0p = Point(np.array([args.x0, args.y0]), 1)
-        config = AlgoConfig(
-            kind=AlgoKind(args.overlay_algo),
-            alpha0=args.overlay_alpha,
-            iters=args.steps,
-        )
+        config = AlgoConfig(AlgoKind(args.overlay_algo), args.overlay_alpha, args.steps)
         disc = run(problem, config, z0p, dense=True)
         header += ["x_disc", "y_disc"]
 

@@ -20,6 +20,7 @@ from anchored_minimax import (
     store_plan,
     theoretical_bound,
 )
+from anchored_minimax.algorithms import _METHODS
 
 
 def alpha_next_delta2(alpha_k, k, R):
@@ -411,6 +412,13 @@ class TestRun:
         z0 = bilinear.point([1.0, 0.0])
         trace = run(bilinear, AlgoConfig(kind, 0.1, 25), z0)
         assert trace.oracle_calls.tolist() == [per_iter * k for k in range(26)]
+        # the method table's cost is what a run spends: cost per update and
+        # one more call for G(z^K)
+        calls = []
+        counted = replace(bilinear, operator=lambda z: calls.append(z) or bilinear.operator(z))
+        calls.clear()  # the saddle-point check at construction called op
+        run(counted, AlgoConfig(kind, 0.1, 25), z0)
+        assert len(calls) == _METHODS[kind].cost * 25 + 1
 
     def test_grad_sq_matches_recomputation(self, bilinear):
         z0 = bilinear.point([0.3, -0.9])
@@ -478,6 +486,17 @@ class TestRun:
     def test_eag_v_stepsize_validated(self, bilinear):
         with pytest.raises(ContractError):
             run(bilinear, AlgoConfig(AlgoKind.EAG_V, 0.76, 10), bilinear.point([1, 0]))
+
+    def test_eag_v_schedule_refused_before_any_operator_call(self, bilinear):
+        # at delta = 1.01 the recurrence gives alpha_1 = -32.76; the whole
+        # schedule is built first, so no step is taken with it
+        calls = []
+        problem = replace(bilinear, operator=lambda z: calls.append(z) or bilinear.operator(z))
+        calls.clear()
+        config = AlgoConfig(AlgoKind.EAG_V, 0.7, 5, anchor_delta=1.01)
+        with pytest.raises(ContractError, match="outside"):
+            run(problem, config, bilinear.point([1.0, 0.0]))
+        assert calls == []
 
     def test_eag_c_large_step_warns_but_runs(self, bilinear):
         with pytest.warns(RuntimeWarning):
@@ -583,7 +602,7 @@ class TestTheoreticalBound:
         assert val <= 260.0
 
     def test_eag_v_constant_at_golden(self):
-        val = theoretical_bound(AlgoKind.EAG_V, 0, 1.0, 1.0, alpha0=0.618)
+        val = theoretical_bound(AlgoKind.EAG_V, 0, 1.0, 1.0, alpha=0.618)
         assert val * 2 == pytest.approx(26.65, abs=0.05)
         assert val * 2 <= 27.0
 
@@ -594,6 +613,11 @@ class TestTheoreticalBound:
     def test_eg_domain_error(self):
         with pytest.raises(ContractError):
             theoretical_bound(AlgoKind.EG, 5, 1.0, 1.0, alpha=1.0)
+
+    def test_eag_c_outside_step_conditions_raises(self):
+        # 0.1265 fails the second step-size condition, so no theorem applies
+        with pytest.raises(ContractError):
+            theoretical_bound(AlgoKind.EAG_C, 5, 1.0, 1.0, alpha=0.1265)
 
     def test_no_bound_for_popov(self):
         with pytest.raises(ContractError):
@@ -607,7 +631,7 @@ class TestTheoreticalBound:
     )
     def test_rejects_negative_k_and_non_finite_constants(self, kind, k, R, D):
         with pytest.raises(ContractError):
-            theoretical_bound(kind, k, R, D, alpha=0.1, alpha0=0.1, alpha_inf=0.09)
+            theoretical_bound(kind, k, R, D, alpha=0.1, alpha_inf=0.09)
 
     @pytest.mark.parametrize("kind", [AlgoKind.EAG_C, AlgoKind.EAG_V, AlgoKind.EG])
     def test_int_array_k_matches_scalar_calls_bitwise(self, kind):
@@ -615,7 +639,8 @@ class TestTheoreticalBound:
             np.arange(3000), np.geomspace(1, 10**6, 2000).astype(np.int64), [10**6]
         ]))
         R, D = 1.3, 2.7
-        params = dict(alpha=0.09, alpha0=0.45, alpha_inf=eag_v_alpha_limit(0.45, R))
+        params = dict(alpha=0.45 if kind == AlgoKind.EAG_V else 0.09,
+                      alpha_inf=eag_v_alpha_limit(0.45, R))
         got = theoretical_bound(kind, ks, R, D, **params)
         want = np.array([theoretical_bound(kind, k, R, D, **params) for k in ks.tolist()])
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -85,7 +85,7 @@ def run_csv_reference(trace, problem, config, z0, bound=True):
     for k in trace.stored_ks.tolist():
         row = [str(k), f"{trace.grad_sq[k]:.17g}"]
         if with_bound:
-            b = theoretical_bound(kind, k, R, D, alpha=alpha, alpha0=alpha, alpha_inf=ainf)
+            b = theoretical_bound(kind, k, R, D, alpha=alpha, alpha_inf=ainf)
             row.append(f"{b:.17g}")
         if with_alpha:
             row.append(f"{trace.alphas[k]:.17g}")
@@ -347,9 +347,12 @@ class TestRunCommand:
              "--iters", "1500", "--no-bound"],
             ["--problem", "ouyang-200", "--algo", "eag-c", "--alpha", "0.1265",
              "--iters", "1500"],
+            ["--problem", "bilinear-unit", "--algo", "eg", "--alpha", "1",
+             "--iters", "1500"],
         ],
         ids=[*(f"{a}-dense" for a in KINDS), *(f"{a}-thinned" for a in KINDS),
-             "ouyang-200", "no-saddle", "no-bound", "eag-c-beyond-theorem"],
+             "ouyang-200", "no-saddle", "no-bound", "eag-c-beyond-theorem",
+             "eg-beyond-theorem"],
     )
     def test_columnar_csv_matches_row_by_row_reference(
         self, argv, tmp_path, capsys, monkeypatch
@@ -500,6 +503,34 @@ class TestLowerboundCommand:
         )
         assert code == 0
         assert "eag-v on hard instance: PASS" in out
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--algo", "eag-v", "--iters", "0"], 2), (["--algo", "eag-v", "--alpha", "0.9"], 2),
+         (["--algo", "sim-gd", "--alpha", "1e200"], 3)],
+        ids=["zero-iters", "eag-v-step", "divergence"],
+    )
+    def test_algorithm_fails_before_anything_is_printed(self, argv, code, capsys):
+        got, out, err = invoke(["lowerbound", "--k", "6", *argv], capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: " if code == 2 else "numerical abort: ")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_runs_only_the_checked_iterations(self, kind, k, monkeypatch, capsys):
+        # iterate j spends cost * j operator calls and is checked while that
+        # is at most k, so the run stops at the last checked iterate
+        traces = []
+        real_run = cli.run
+
+        def recording_run(*args, **kwargs):
+            traces.append(real_run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        assert invoke(["lowerbound", "--k", str(k), "--algo", kind], capsys)[0] in (0, 1)
+        cost = int(traces[0].oracle_calls[1])
+        assert traces[0].iters == max(1, k // cost)
 
     def test_one_basis_and_no_dense_matrix(self, monkeypatch, capsys):
         # the sandwich and the span check share the instance's closed-form
