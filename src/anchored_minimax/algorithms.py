@@ -21,8 +21,6 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -144,14 +142,16 @@ def store_plan(iters: int, dense: bool) -> np.ndarray:
     return np.array(sorted(k for k in ks if k <= iters))
 
 
-def _extragradient(op, base: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+def _extragradient(op, base: np.ndarray, g: np.ndarray, alpha: np.ndarray,
+                   t: np.ndarray) -> np.ndarray:
     """z_next = base - alpha G(base - alpha g), through the half-iterate.
 
     ``g`` is G(z_k) and ``base`` is z_k - beta_k (z_k - z0); EG has base = z_k.
-    Arrays multiply on the left: the same product, without the Python
-    float's reflected-operand detour.
+    ``alpha`` is a 0-d array and ``t`` the step's scratch, which holds the
+    half-iterate while ``op`` reads it; z_next is the one new array.
     """
-    return base - np.asarray(op(base - g * alpha), dtype=float) * alpha
+    zh = np.subtract(base, np.multiply(g, alpha, t), t)
+    return np.subtract(base, np.multiply(np.asarray(op(zh), dtype=float), alpha, t))
 
 
 def eag_v_alpha_next(alpha_k: float, k: int, R: float, delta: float = 2.0) -> float:
@@ -170,8 +170,10 @@ def _eag_v_alphas(alpha0: float, R: float, iters: int, delta: float = 2.0) -> li
     """alpha_0..alpha_iters of the varying-step method; alpha0 * R must lie in (0, 3/4)."""
     if not 0 < alpha0 * R < 0.75:
         raise ContractError(f"varying-step method needs alpha0 * R in (0, 3/4), got {alpha0 * R}")
-    next_alpha = partial(eag_v_alpha_next, R=R, delta=delta)
-    return list(accumulate(range(iters), next_alpha, initial=alpha0))
+    alphas = [alpha0]
+    for k in range(iters):
+        alphas.append(eag_v_alpha_next(alphas[-1], k, R, delta))
+    return alphas
 
 
 # recurrence steps taken before the closed-form tail
@@ -221,47 +223,67 @@ def _eag_c_alphas(config: AlgoConfig, R: float) -> list[float]:
     return [config.alpha0] * (config.iters + 1)
 
 
+# Each step builder allocates its scratch once per run, shaped like z0, and
+# holds its step sizes in 0-d arrays set in place: numpy converts a Python
+# float on every call, a 0-d float64 array it reads as is.
 def _eag(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: list[float]):
     op, delta = problem.operator, config.anchor_delta
-    return lambda k, z, g, d: _extragradient(op, z - d * (1.0 / (k + delta)), g, alphas[k])
+    base, t, a, beta = np.empty_like(z0), np.empty_like(z0), np.empty(()), np.empty(())
+
+    def step(k, z, g, d):
+        a[()], beta[()] = alphas[k], 1.0 / (k + delta)
+        return _extragradient(op, np.subtract(z, np.multiply(d, beta, base), base), g, a, t)
+    return step
 
 
 def _eg(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
-    op, a = problem.operator, config.alpha0
-    return lambda k, z, g, d: _extragradient(op, z, g, a)
+    op, a, t = problem.operator, np.array(config.alpha0, float), np.empty_like(z0)
+    return lambda k, z, g, d: _extragradient(op, z, g, a, t)
 
 
 def _popov(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
-    a, g_prev = config.alpha0, None
+    a, s, t, g_prev = np.array(config.alpha0, float), np.empty_like(z0), np.empty_like(z0), None
 
     def step(k, z, g, d):
         nonlocal g_prev
         # G(z^{-1}) := G(z^0), so the first step is a plain gradient step
-        z = z - a * g - a * (g - (g if g_prev is None else g_prev))
+        np.subtract(z, np.multiply(g, a, s), s)
+        np.multiply(np.subtract(g, g if g_prev is None else g_prev, t), a, t)
         g_prev = g
-        return z
+        return np.subtract(s, t)
     return step
 
 
 def _simgd_a(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
     p, gamma = config.simgd_p, config.simgd_gamma
-    return lambda k, z, g, d: z - (1 - p) / (k + 1) ** p * g + (1 - p) * gamma / (k + 1) * (z0 - z)
+    c, e, s, t = np.empty(()), np.empty(()), np.empty_like(z0), np.empty_like(z0)
+
+    def step(k, z, g, d):
+        # z - (1-p)/(k+1)^p g + (1-p) gamma/(k+1) (z0 - z)
+        c[()], e[()] = (1 - p) / (k + 1) ** p, (1 - p) * gamma / (k + 1)
+        np.subtract(z, np.multiply(g, c, s), s)
+        return np.add(s, np.multiply(np.subtract(z0, z, t), e, t))
+    return step
 
 
 def _alt_gda(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
-    op, a, nx = problem.operator, config.alpha0, problem.dim_x
+    op, nx = problem.operator, problem.dim_x
+    a, w = np.array(config.alpha0, float), np.empty_like(z0)
 
     def step(k, z, g, d):
-        x_new = z[:nx] - a * g[:nx]
-        g_mid = np.asarray(op(np.concatenate([x_new, z[nx:]])), dtype=float)
+        zn = np.empty_like(z)
+        w[:nx] = np.subtract(z[:nx], np.multiply(g[:nx], a, zn[:nx]), zn[:nx])
+        w[nx:] = z[nx:]
+        g_mid = np.asarray(op(w), dtype=float)
         # y-block of G is -grad_y L, so ascent in y subtracts it
-        return np.concatenate([x_new, z[nx:] - a * g_mid[nx:]])
+        np.subtract(z[nx:], np.multiply(g_mid[nx:], a, zn[nx:]), zn[nx:])
+        return zn
     return step
 
 
 def _sim_gd(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: None):
-    a = config.alpha0
-    return lambda k, z, g, d: z - a * g
+    a, t = np.array(config.alpha0, float), np.empty_like(z0)
+    return lambda k, z, g, d: np.subtract(z, np.multiply(g, a, t))
 
 
 def _eag_c_rate(alpha: float, R: float, delta: float, alpha_inf: float | None = None):
@@ -275,7 +297,13 @@ def _eag_c_rate(alpha: float, R: float, delta: float, alpha_inf: float | None = 
 def _eag_v_rate(alpha0: float, R: float, delta: float, alpha_inf: float | None = None):
     if delta != 2.0:
         return None
-    ainf = alpha_inf if alpha_inf is not None else eag_v_alpha_limit(alpha0, R)
+    if alpha_inf is None:
+        ainf = eag_v_alpha_limit(alpha0, R)  # checks alpha0 * R
+    elif 0 < alpha0 * R < 0.75 and 0 < alpha_inf <= alpha0:
+        ainf = alpha_inf
+    else:
+        raise ContractError(f"varying-step bound needs alpha0 * R in (0, 3/4) and alpha_inf "
+                            f"in (0, alpha0], got {alpha0 * R} and {alpha_inf}")
     const = 4 * (1 + alpha0 * ainf * R * R) / ainf**2
     return lambda k, D: const * D * D / ((k + 1) * (k + 2))
 
@@ -355,7 +383,7 @@ def run(
     keep = iterates.append if keep is None else keep
     alphas = None if schedule is None else np.array(schedule, dtype=float)
     anchor_inner = None if schedule is None else np.empty(K + 1)
-    z, d = z0c.copy(), None
+    z, d = z0c.copy(), None if schedule is None else np.empty_like(z0c)
 
     # divergence is detected per iteration and raised with a diagnostic, so
     # numpy's own overflow warnings are redundant noise here
@@ -371,9 +399,8 @@ def run(
                 keep(z)  # every z is a fresh array, never written
             g = np.asarray(op(z), dtype=float)
             grad_sq[k] = g.dot(g)
-            if alphas is not None:
-                d = z - z0c
-                anchor_inner[k] = g.dot(d)
+            if d is not None:
+                anchor_inner[k] = g.dot(np.subtract(z, z0c, d))
             if k == K:
                 break
             z = step(k, z, g, d)

@@ -93,7 +93,8 @@ def _saddle_distances(zs: np.ndarray | None):
 
     def fold() -> None:
         nonlocal n
-        parts.append(np.sum((buf[:n] - zs) ** 2, axis=1))
+        block = buf[:n]  # squared in place: no (n, dim) temporaries
+        parts.append(np.sum(np.square(np.subtract(block, zs, block), block), axis=1))
         n = 0
 
     def keep(z: np.ndarray) -> None:

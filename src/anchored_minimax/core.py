@@ -85,7 +85,9 @@ class SaddleProblem:
     """An evaluatable saddle operator with a declared smoothness constant.
 
     ``operator`` maps a flat joint vector to the flat operator value
-    (grad_x L, -grad_y L); it must be pure.  ``lipschitz`` is the declared
+    (grad_x L, -grad_y L); it must be pure.  Solvers call it on arrays they
+    reuse, so it must neither keep nor modify its argument, and it must return
+    a new array on every call.  ``lipschitz`` is the declared
     smoothness constant R (an upper bound on the true Lipschitz constant of
     the operator).  ``value`` optionally evaluates L itself, which enables
     finite-difference validation of the operator.  ``saddle_point``, when

@@ -542,6 +542,42 @@ class TestRun:
             assert (x is None) == (y is None)
             assert x is None or x.tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    def test_kept_iterates_are_never_written_or_shared(self, kind):
+        # the steps work in scratch the run reuses; each kept z must be its own
+        p, z0 = load_preset("random-monotone:6:3")
+        kept = []
+        run(p, AlgoConfig(kind, 0.1 / p.lipschitz, 40), z0, dense=True,
+            keep=lambda z: kept.append((z, z.tobytes())))
+        assert len(kept) == 41
+        for z, b in kept:
+            assert z.tobytes() == b
+        for i, (x, _) in enumerate(kept):
+            for y, _ in kept[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    @pytest.mark.parametrize("wrap", ["read-only", "list", "int"])
+    def test_operator_output_is_only_read(self, kind, wrap):
+        p, z0 = load_preset("random-monotone:6:3")
+
+        def read_only(z):
+            g = p.operator(z)
+            g.flags.writeable = False  # a write into G's output would raise
+            return g
+
+        op, ref_op = {
+            "read-only": (read_only, p.operator),
+            "list": (lambda z: p.operator(z).tolist(), p.operator),
+            "int": (lambda z: np.rint(p.operator(z)).astype(np.int64),
+                    lambda z: np.rint(p.operator(z))),
+        }[wrap]
+        config = AlgoConfig(kind, 0.1 / p.lipschitz, 40)
+        got = run(replace(p, operator=op), config, z0, dense=True)
+        want = run(replace(p, operator=ref_op), config, z0, dense=True)
+        assert got.grad_sq.tobytes() == want.grad_sq.tobytes()
+        assert [z.tobytes() for z in got.iterates] == [z.tobytes() for z in want.iterates]
+
     def test_trace_without_iterates_refuses_iterate(self, bilinear):
         trace = run(bilinear, AlgoConfig(AlgoKind.EG, 0.1, 5), bilinear.point([1, 0]),
                     keep=lambda z: None)
@@ -618,6 +654,16 @@ class TestTheoreticalBound:
         # 0.1265 fails the second step-size condition, so no theorem applies
         with pytest.raises(ContractError):
             theoretical_bound(AlgoKind.EAG_C, 5, 1.0, 1.0, alpha=0.1265)
+
+    @pytest.mark.parametrize("alpha, alpha_inf", [
+        (5.0, 0.1),        # alpha0 * R beyond 3/4
+        (0.5, -0.1),       # alpha_inf not positive
+        (0.5, math.nan),
+        (0.5, 0.9),        # alpha_inf above alpha0: the sequence decreases
+    ])
+    def test_eag_v_given_alpha_inf_outside_theorem_raises(self, alpha, alpha_inf):
+        with pytest.raises(ContractError):
+            theoretical_bound(AlgoKind.EAG_V, 3, 1.0, 1.0, alpha=alpha, alpha_inf=alpha_inf)
 
     def test_no_bound_for_popov(self):
         with pytest.raises(ContractError):
