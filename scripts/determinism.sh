@@ -35,6 +35,10 @@ $cli lowerbound --k 2000 --algo eag-v --out "$d/lowerbound-2000.csv" \
   > "$d/lowerbound-2000.out"
 $cli flow --kind anchored > "$d/flow.out"
 $cli flow --kind moreau-yosida --lam 0.01 > "$d/flow-spiral.out"
+# the flow table with a discrete overlay, and the one-row step-size table
+$cli flow --kind anchored --overlay-algo eag-v --steps 2000 \
+  --out "$d/flow-overlay.csv" > "$d/flow-overlay.out"
+$cli certify stepsize --alphaR 0.125 --out "$d/stepsize.csv" > "$d/stepsize.out"
 # runs above 10^4 iterations store and emit the thinned plan
 for a in eag-c eag-v eg popov simgd-a alt-gda sim-gd; do
   $cli run --problem huber-default --algo $a --alpha 0.1 --iters 20000 \

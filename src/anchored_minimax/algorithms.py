@@ -17,6 +17,7 @@ alternating descent-ascent, and plain simultaneous descent. The table
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -286,11 +287,24 @@ def _sim_gd(config: AlgoConfig, problem: SaddleProblem, z0: np.ndarray, alphas: 
     return lambda k, z, g, d: np.subtract(z, np.multiply(g, a, t))
 
 
+def _rate_constant(const: Callable[[], float], *steps: float) -> float:
+    """``const()`` for steps > 0, if it is a finite float > 0 whose reciprocal
+    is finite too; else ContractError (a tiny step squares to 0)."""
+    try:
+        c = const() if all(s > 0 for s in steps) else math.nan
+    except (ZeroDivisionError, OverflowError):
+        c = math.nan
+    if not sys.float_info.min <= c <= sys.float_info.max:
+        raise ContractError(f"rate bound needs step sizes > 0 and a representable "
+                            f"constant, got {', '.join(map(repr, steps))}")
+    return c
+
+
 def _eag_c_rate(alpha: float, R: float, delta: float, alpha_inf: float | None = None):
     a = alpha * R
     if delta != 2.0 or not check_eag_c_stepsize(a):
         return None
-    const = 4 * (1 + a + a * a) / (alpha**2 * (1 + a))
+    const = _rate_constant(lambda: 4 * (1 + a + a * a) / (alpha**2 * (1 + a)), alpha)
     return lambda k, D: const * D * D / (k + 1) ** 2
 
 
@@ -304,13 +318,16 @@ def _eag_v_rate(alpha0: float, R: float, delta: float, alpha_inf: float | None =
     else:
         raise ContractError(f"varying-step bound needs alpha0 * R in (0, 3/4) and alpha_inf "
                             f"in (0, alpha0], got {alpha0 * R} and {alpha_inf}")
-    const = 4 * (1 + alpha0 * ainf * R * R) / ainf**2
+    const = _rate_constant(lambda: 4 * (1 + alpha0 * ainf * R * R) / ainf**2, alpha0, ainf)
     return lambda k, D: const * D * D / ((k + 1) * (k + 2))
 
 
 def _eg_rate(alpha: float, R: float, delta: float, alpha_inf: float | None = None):
     a = alpha * R
-    return (lambda k, D: D * D / (alpha**2 * (1 - a * a) * (k + 1))) if a < 1 else None
+    if not a < 1:
+        return None
+    den = _rate_constant(lambda: alpha**2 * (1 - a * a), alpha)  # the bound is D^2 / (den (k+1))
+    return lambda k, D: D * D / (den * (k + 1))
 
 
 @dataclass(frozen=True)
@@ -432,7 +449,9 @@ def theoretical_bound(
     Varying-step (a0 = alpha): 4(1+a0*ainf*R^2)/ainf^2 * D^2/((k+1)(k+2)).
     Extragradient (best iterate): D^2/(a^2 (1-a^2R^2) (k+1)).
     A method without one, or an alpha its theorem does not cover, raises
-    ContractError (see ``_Method``).
+    ContractError (see ``_Method``), as does a step size <= 0 (or an
+    ``alpha_inf`` <= 0) and one whose rate constant is not a finite float > 0
+    with a finite reciprocal: at alpha = 1e-200, alpha^2 underflows to 0.
 
     ``k`` is an int or an int array; the formula broadcasts over it and gives
     each element the scalar call's value bit for bit. Every k must be >= 0,

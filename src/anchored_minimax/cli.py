@@ -44,11 +44,9 @@ EXIT_NUMERICAL = 3
 # the number of rows
 EMIT_BLOCK = 512
 
-_fmt = "{:.17g}".format
-
-
-def _fmt_col(values: np.ndarray):
-    return map(_fmt, values.tolist())
+# the package's one float format: 17 significant digits round-trip a float64
+_FLOAT = "%.17g"
+_fmt = _FLOAT.__mod__
 
 
 def _blocks(n: int, block):
@@ -56,18 +54,20 @@ def _blocks(n: int, block):
     return (block(slice(lo, lo + EMIT_BLOCK)) for lo in range(0, n, EMIT_BLOCK))
 
 
-def _emit_csv(path: str | None, header: list[str], blocks) -> None:
-    """Write a table given as blocks, each a list of equal-length string columns.
+def _emit_csv(path: str | None, columns: list[tuple[str, str]], blocks) -> None:
+    """Write a table given as blocks, each a list of equal-length value columns.
 
-    Every block holds at least one row. Every field is a number or an
-    identifier, none of which needs quoting, so a row is its fields joined by
-    commas; each line ends in CRLF.
+    ``columns`` pairs each column's name with its % code: "%d" for ints and
+    bools, ``_FLOAT`` for floats, "%s" for identifiers. Every block holds at
+    least one row. No field needs quoting, so each row is one % format of its
+    values, joined by commas; each line ends in CRLF.
     """
+    row = ",".join(code for _, code in columns) + "\r\n"
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        out.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            out.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        out.write(",".join(name for name, _ in columns) + "\r\n")
+        for block in blocks:
+            out.write("".join(map(row.__mod__, zip(*block))))
     finally:
         if path:
             out.close()
@@ -126,36 +126,35 @@ def cmd_run(args: argparse.Namespace) -> int:
                         simgd_p=args.simgd_p, simgd_gamma=args.simgd_gamma)
     zs = problem.saddle_point.coords if problem.saddle_point is not None else None
     keep, distances = _saddle_distances(zs)
-    trace = run(problem, config, z0, dense=args.dense, keep=keep)
-    dists = distances()
-
-    # no theorem, no bound column
+    # no theorem, no bound column; a bound that cannot be stated fails before the run
     bound = args.bound and zs is not None and method.rate(
         alpha, problem.lipschitz, args.anchor_delta)
     D = float(np.linalg.norm(z0.coords - zs)) if bound else None
+    trace = run(problem, config, z0, dense=args.dense, keep=keep)
+    dists = distances()
 
-    header = ["k", "grad_sq"]
+    columns = [("k", "%d"), ("grad_sq", _FLOAT)]
     if bound:
-        header.append("bound")
+        columns.append(("bound", _FLOAT))
     if method.varying:
-        header.append("alpha_k")
-    header.append("oracle_calls")
+        columns.append(("alpha_k", _FLOAT))
+    columns.append(("oracle_calls", "%d"))
     if zs is not None:
-        header.append("dist_to_saddle_sq")
+        columns.append(("dist_to_saddle_sq", _FLOAT))
 
     def block(sl: slice) -> list:
         ks = trace.stored_ks[sl]
-        columns = [map(str, ks.tolist()), _fmt_col(trace.grad_sq[ks])]
+        values = [ks.tolist(), trace.grad_sq[ks].tolist()]
         if bound:
-            columns.append(_fmt_col(bound(ks, D)))
+            values.append(bound(ks, D).tolist())
         if method.varying:
-            columns.append(_fmt_col(trace.alphas[ks]))
-        columns.append(map(str, trace.oracle_calls[ks].tolist()))
+            values.append(trace.alphas[ks].tolist())
+        values.append(trace.oracle_calls[ks].tolist())
         if dists is not None:
-            columns.append(_fmt_col(dists[sl]))
-        return columns
+            values.append(dists[sl].tolist())
+        return values
 
-    _emit_csv(args.out, header, _blocks(len(trace.stored_ks), block))
+    _emit_csv(args.out, columns, _blocks(len(trace.stored_ks), block))
     return EXIT_OK
 
 
@@ -164,9 +163,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         ok = check_eag_c_stepsize(args.alphaR)
         print(f"stepsize alphaR={_fmt(args.alphaR)}: {'PASS' if ok else 'FAIL'}")
         if args.out:
-            _emit_csv(
-                args.out, ["alphaR", "verdict"], [[[_fmt(args.alphaR)], [str(int(ok))]]]
-            )
+            _emit_csv(args.out, [("alphaR", _FLOAT), ("verdict", "%d")], [[[args.alphaR], [ok]]])
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if args.kind == "eagc":
@@ -180,18 +177,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         if args.out:
             def block(sl: slice) -> list:
                 return [
-                    map(str, range(len(rep))[sl]),
-                    *(_fmt_col(c[sl]) for c in (rep.A[:-1], rep.tau, rep.min_eig, rep.det)),
+                    range(len(rep))[sl],
+                    *(c[sl].tolist() for c in (rep.A[:-1], rep.tau, rep.min_eig, rep.det)),
                     map(CASE_TAGS.__getitem__, rep.case2[sl].tolist()),
-                    *(_fmt_col(c[sl]) for c in (rep.ell, rep.upper)),
-                    map(str, rep.verdict[sl].astype(int).tolist()),
+                    *(c[sl].tolist() for c in (rep.ell, rep.upper)),
+                    rep.verdict[sl].tolist(),
                 ]
 
-            _emit_csv(
-                args.out,
-                ["k", "A_k", "tau_k", "min_eig", "det", "case", "ell", "u", "verdict"],
-                _blocks(len(rep), block),
-            )
+            names = ["k", "A_k", "tau_k", "min_eig", "det", "case", "ell", "u", "verdict"]
+            codes = ["%d", _FLOAT, _FLOAT, _FLOAT, _FLOAT, "%s", _FLOAT, _FLOAT, "%d"]
+            _emit_csv(args.out, list(zip(names, codes)), _blocks(len(rep), block))
         if not ok:
             print(f"first failure at k={np.argmin(rep.verdict)}", file=sys.stderr)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -217,13 +212,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         k_bad = int(trace.stored_ks[pos + 1])
         print(f"first violation at k={k_bad}: V increased by {jump:.3e}", file=sys.stderr)
     if args.out:
-        _emit_csv(
-            args.out,
-            ["k", "V_k"],
-            _blocks(len(V), lambda sl: [
-                map(str, trace.stored_ks[sl].tolist()), _fmt_col(V[sl])
-            ]),
-        )
+        _emit_csv(args.out, [("k", "%d"), ("V_k", _FLOAT)], _blocks(
+            len(V), lambda sl: [trace.stored_ks[sl].tolist(), V[sl].tolist()]))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -259,7 +249,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
             names.append(f"{kind.value}_k{s.k_iter}")
             values.append(s.grad_sq)
     if args.out:
-        _emit_csv(args.out, ["quantity", "value"], [[names, map(_fmt, values)]])
+        _emit_csv(args.out, [("quantity", "%s"), ("value", _FLOAT)], [[names, values]])
     return EXIT_OK if ok and algo_ok else EXIT_CHECK_FAILED
 
 
@@ -277,30 +267,30 @@ def cmd_flow(args: argparse.Namespace) -> int:
     traj = integrate_flow(spec)
     closed = flow_closed_form(spec, traj.ts)
 
-    header = ["t", "x_closed", "y_closed", "x_rk4", "y_rk4", "deviation"]
+    names = ["t", "x_closed", "y_closed", "x_rk4", "y_rk4", "deviation"]
     disc = None
     if args.overlay_algo is not None:
         problem, _ = load_preset("bilinear-unit")
         z0p = Point(np.array([args.x0, args.y0]), 1)
         config = AlgoConfig(AlgoKind(args.overlay_algo), args.overlay_alpha, args.steps)
         disc = run(problem, config, z0p, dense=True)
-        header += ["x_disc", "y_disc"]
+        names += ["x_disc", "y_disc"]
 
     def block(sl: slice) -> list:
         zs, cl = traj.zs[sl], closed[sl]
-        columns = [
-            _fmt_col(traj.ts[sl]),
-            _fmt_col(cl[:, 0]), _fmt_col(cl[:, 1]),
-            _fmt_col(zs[:, 0]), _fmt_col(zs[:, 1]),
-            (_fmt(np.linalg.norm(d)) for d in zs - cl),
+        values = [
+            traj.ts[sl].tolist(),
+            cl[:, 0].tolist(), cl[:, 1].tolist(),
+            zs[:, 0].tolist(), zs[:, 1].tolist(),
+            (np.linalg.norm(d) for d in zs - cl),
         ]
         if disc is not None:
             # index-aligned with the time grid, not time-aligned
             Z = np.stack(disc.iterates[sl])
-            columns += [_fmt_col(Z[:, 0]), _fmt_col(Z[:, 1])]
-        return columns
+            values += [Z[:, 0].tolist(), Z[:, 1].tolist()]
+        return values
 
-    _emit_csv(args.out, header, _blocks(len(traj.ts), block))
+    _emit_csv(args.out, [(name, _FLOAT) for name in names], _blocks(len(traj.ts), block))
     return EXIT_OK
 
 

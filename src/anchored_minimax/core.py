@@ -85,9 +85,11 @@ class SaddleProblem:
     """An evaluatable saddle operator with a declared smoothness constant.
 
     ``operator`` maps a flat joint vector to the flat operator value
-    (grad_x L, -grad_y L); it must be pure.  Solvers call it on arrays they
-    reuse, so it must neither keep nor modify its argument, and it must return
-    a new array on every call.  ``lipschitz`` is the declared
+    (grad_x L, -grad_y L); it must be pure.  Solvers pass it a flat float64
+    array of length ``dim`` (the 2-d presets read theirs with ``tolist()``)
+    and reuse that array, so the operator must neither keep nor modify its
+    argument, and it must return a new array on every call.  ``dim_x`` and
+    ``dim_y`` are integers >= 1.  ``lipschitz`` is the declared
     smoothness constant R (an upper bound on the true Lipschitz constant of
     the operator).  ``value`` optionally evaluates L itself, which enables
     finite-difference validation of the operator.  ``saddle_point``, when
@@ -103,8 +105,8 @@ class SaddleProblem:
     value: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.dim_x <= 0 or self.dim_y <= 0:
-            raise ContractError("dim_x and dim_y must be positive")
+        check_count("dim_x", self.dim_x, 1)
+        check_count("dim_y", self.dim_y, 1)
         if not 0 < self.lipschitz < math.inf:
             raise ContractError("lipschitz constant R must be finite and > 0")
         if self.saddle_point is not None:
@@ -175,9 +177,12 @@ def check_monotone(
     """Check <G(z1)-G(z2), z1-z2> >= -tol*||z1-z2||^2 on each pair.
 
     Violations are reported, not raised; the summary verdict is the
-    conjunction over pairs, of which there must be at least one.
+    conjunction over pairs, of which there must be at least one. ``tol``
+    must be finite and >= 0: an infinite one would pass any operator.
     """
     check_count("len(pairs)", len(pairs), 1)
+    if not 0 <= tol < math.inf:
+        raise ContractError(f"tol must be finite and >= 0, got {tol!r}")
     inners = np.empty(len(pairs))
     verdicts = np.empty(len(pairs), dtype=bool)
     for i, (z1, z2) in enumerate(pairs):
@@ -204,6 +209,7 @@ def estimate_lipschitz(
     non-finite ratio (an operator returning inf or NaN) gives math.inf.
     """
     check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     if not 0 < radius < math.inf:
         raise ContractError("radius must be finite and > 0")
     rng = np.random.default_rng(seed)
@@ -247,9 +253,12 @@ def check_gradient(
 
     Uses per-coordinate steps h_i = h_scale * max(1, |z_i|). Requires the
     problem to carry a ``value`` callable. The relative error at a point is
-    ||G_fd - G|| / max(||G||, 1e-300); at least one point is required.
+    ||G_fd - G|| / max(||G||, 1e-300); at least one point is required, and
+    ``h_scale`` and ``rtol`` must be finite and > 0.
     """
     check_count("len(points)", len(points), 1)
+    if not (0 < h_scale < math.inf and 0 < rtol < math.inf):
+        raise ContractError(f"h_scale and rtol must be finite and > 0, got {h_scale!r}, {rtol!r}")
     if problem.value is None:
         raise ContractError(f"problem {problem.name!r} has no value function")
     L = problem.value

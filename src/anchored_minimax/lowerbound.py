@@ -271,9 +271,11 @@ def build_hard_instance(k: int, R: float = 1.0, D: float = 1.0, n: int | None = 
     b = diag * x_star
     # G(x, y) = (A y - b, b - A x) = c1 * (y, x) - c0, bit for bit
     c1, c0 = np.concatenate([diag, -diag]), np.concatenate([b, -b])
+    swap = np.r_[n : 2 * n, :n]  # (x, y) -> (y, x)
 
     def op(z: np.ndarray) -> np.ndarray:
-        return c1 * z.reshape(2, n)[::-1].ravel() - c0
+        g = np.multiply(c1, z.reshape(2 * n)[swap])  # reshape: a wrong length raises
+        return np.subtract(g, c0, g)
 
     def val(z: np.ndarray) -> float:
         x, y = z[:n], z[n:]

@@ -75,7 +75,7 @@ def make_huber_saddle(params: HuberSaddleParams | None = None) -> SaddleProblem:
     d, e = p.delta, p.epsilon
 
     def op(z: np.ndarray) -> np.ndarray:
-        x, y = z[0], z[1]
+        x, y = z.tolist()  # Python floats: no numpy scalar arithmetic
         return np.array(
             [(1 - d) * _huber_grad(x, e) + d * y, -d * x + (1 - d) * _huber_grad(y, e)]
         )
@@ -95,6 +95,11 @@ def make_huber_saddle(params: HuberSaddleParams | None = None) -> SaddleProblem:
     )
 
 
+# 0-d float64 operands: numpy converts a Python float on every ufunc call
+_QUARTER, _TWO = np.array(0.25), np.array(2.0)
+_QUARTER.flags.writeable = _TWO.flags.writeable = False
+
+
 def _ouyang_apply(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write A v into ``out`` in O(n) and return it.
 
@@ -104,8 +109,7 @@ def _ouyang_apply(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     np.subtract(v[:0:-1], v[-2::-1], out=out[:-1])
     out[-1] = v[0]
-    out *= 0.25
-    return out
+    return np.multiply(out, _QUARTER, out)
 
 
 def make_ouyang_qp(n: int = 200) -> SaddleProblem:
@@ -125,16 +129,16 @@ def make_ouyang_qp(n: int = 200) -> SaddleProblem:
     h[-1] = 0.25
     xs = np.arange(1.0, n + 1)
     ys = np.full(n, -0.5)
+    c = np.concatenate([h, b])
 
     def op(z: np.ndarray) -> np.ndarray:
         # a fresh output on every call: callers keep earlier values of G
         g = np.empty(2 * n)
         gx, gy = g[:n], g[n:]
         _ouyang_apply(z[:n], gy)
-        _ouyang_apply(2.0 * gy - z[n:], gx)
-        gx -= h
-        gy -= b
-        return g
+        t = np.multiply(_TWO, gy)
+        _ouyang_apply(np.subtract(t, z[n:], t), gx)
+        return np.subtract(g, c, g)
 
     def val(z: np.ndarray) -> float:
         x, y = z[:n], z[n:]
@@ -158,7 +162,8 @@ def make_bilinear(scale: float = 1.0) -> SaddleProblem:
         raise ContractError("scale must be > 0")
 
     def op(z: np.ndarray) -> np.ndarray:
-        return np.array([scale * z[1], -scale * z[0]])
+        x, y = z.tolist()
+        return np.array([scale * y, -scale * x])
 
     return SaddleProblem(
         name="bilinear",

@@ -665,6 +665,21 @@ class TestTheoreticalBound:
         with pytest.raises(ContractError):
             theoretical_bound(AlgoKind.EAG_V, 3, 1.0, 1.0, alpha=alpha, alpha_inf=alpha_inf)
 
+    @pytest.mark.parametrize("kind, alpha", [
+        (AlgoKind.EG, -0.1),       # a bound for a negative step
+        (AlgoKind.EG, 1e-200),     # alpha^2 underflows to 0
+        (AlgoKind.EG, 1e-160),     # alpha^2 is subnormal: the bound is inf
+        (AlgoKind.EAG_C, 1e-200),
+        (AlgoKind.EAG_V, 1e-200),  # alpha_inf^2 underflows to 0
+    ])
+    def test_step_without_a_representable_constant_raises(self, kind, alpha):
+        with pytest.raises(ContractError, match="rate bound needs step sizes > 0"):
+            theoretical_bound(kind, 3, 1.0, 1.0, alpha=alpha)
+
+    def test_eag_v_tiny_given_alpha_inf_raises(self):
+        with pytest.raises(ContractError, match="rate bound needs step sizes > 0"):
+            theoretical_bound(AlgoKind.EAG_V, 3, 1.0, 1.0, alpha=0.5, alpha_inf=1e-200)
+
     def test_no_bound_for_popov(self):
         with pytest.raises(ContractError):
             theoretical_bound(AlgoKind.POPOV, 5, 1.0, 1.0, alpha=0.1)

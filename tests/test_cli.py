@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -728,3 +729,49 @@ def test_dense_run_holds_no_iterates(tmp_path):
     rss_mb = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
     assert rss_mb < 100, f"peak RSS {rss_mb:.0f} MB"
     assert (tmp_path / "dense.csv").read_bytes().count(b"\n") == 50_002
+
+
+@pytest.mark.parametrize("algo", ["eag-c", "eag-v", "eg"])
+def test_unrepresentable_rate_bound_exits_2(algo, tmp_path):
+    # alpha^2 underflows to 0; a real process, so a traceback or a numpy
+    # warning would show on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "anchored_minimax.cli", "run", "--problem", "bilinear-unit",
+            "--algo", algo, "--alpha", "1e-200", "--iters", "3"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: rate bound needs step sizes > 0")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    proc = subprocess.run([*argv, "--no-bound"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[0].split(",")[:2] == ["k", "grad_sq"]
+    assert "bound" not in proc.stdout.splitlines()[0].split(",")
+
+
+def test_csv_writer_matches_per_field_format(tmp_path, capsys):
+    # one % format per row against "{:.17g}".format, str and int per field
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64)
+    floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+              0.1, 1 / 3, -2.5e-310, 1e16, *bits.tolist()]
+    n = len(floats)
+    ks = list(range(-3, n - 3))
+    tags = [f"tag{i % 7}" for i in range(n)]
+    flags = (rng.random(n) < 0.5).tolist()
+    columns = [("k", "%d"), ("value", cli._FLOAT), ("case", "%s"), ("ok", "%d")]
+    blocks = [[ks[lo:lo + 600], floats[lo:lo + 600], tags[lo:lo + 600], flags[lo:lo + 600]]
+              for lo in range(0, n, 600)]
+    want = "k,value,case,ok\r\n" + "".join(
+        f"{k},{'{:.17g}'.format(v)},{t},{int(f)}\r\n"
+        for k, v, t, f in zip(ks, floats, tags, flags)
+    )
+    cli._emit_csv(str(tmp_path / "t.csv"), columns, blocks)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    cli._emit_csv(None, columns, blocks)
+    assert capsys.readouterr().out == want
+    assert [cli._fmt(v) for v in floats] == ["{:.17g}".format(v) for v in floats]

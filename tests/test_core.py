@@ -304,3 +304,36 @@ def test_random_monotone_block_form():
     assert np.linalg.norm(M, 2) == pytest.approx(1.5, rel=1e-12)
     zs = p.saddle_point.coords
     assert np.linalg.norm(M @ zs + v) <= 1e-9
+
+
+class TestDiagnosticsRefuseVacuousArguments:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_monotone_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # G(z) = -z fails at the default tol; an infinite one would pass it
+        anti = SaddleProblem("anti", 1, 1, lambda z: -z, 1.0)
+        pairs = list(zip(random_points(anti, 4, 1.0, 0), random_points(anti, 4, 1.0, 1)))
+        assert not check_monotone(anti, pairs).passed
+        with pytest.raises(ContractError, match="tol must be finite and >= 0"):
+            check_monotone(anti, pairs, tol=tol)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"h_scale": 0.0}, {"h_scale": -1e-5}, {"h_scale": math.inf}, {"h_scale": math.nan},
+        {"rtol": math.inf}, {"rtol": 0.0}, {"rtol": math.nan},
+    ])
+    def test_gradient_check_steps_and_tolerance_must_be_finite_and_positive(self, kwargs):
+        p = make_bilinear(1.0)
+        with pytest.raises(ContractError, match="h_scale and rtol must be finite and > 0"):
+            check_gradient(p, [p.point([1.0, 0.5])], **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_lipschitz_seed_must_be_a_count(self, seed):
+        with pytest.raises(ContractError, match="seed must be an integer >= 0"):
+            estimate_lipschitz(make_bilinear(1.0), samples=5, radius=1.0, seed=seed)
+
+    @pytest.mark.parametrize("field", ["dim_x", "dim_y"])
+    @pytest.mark.parametrize("value", [1.5, True, 0, -1])
+    def test_problem_dimensions_must_be_counts(self, field, value):
+        dims = {"dim_x": 1, "dim_y": 1, field: value}
+        with pytest.raises(ContractError, match=f"{field} must be an integer >= 1"):
+            SaddleProblem("rotation", operator=lambda z: np.array([z[1], -z[0]]),
+                          lipschitz=1.0, **dims)

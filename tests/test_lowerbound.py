@@ -247,7 +247,7 @@ class TestHardInstance:
     @pytest.mark.parametrize("k, n", [(6, 8), (28, 30), (256, 260)])
     def test_operator_matches_blockwise_reference_bitwise(self, k, n):
         # the fused operator against (A y - b, b - A x) built block by block,
-        # signed zeros included
+        # signed zeros and non-finite entries included
         inst = build_hard_instance(k, R=1.3, D=0.7, n=n)
         a, b = inst.diag, inst.b
         rng = np.random.default_rng(n)
@@ -255,8 +255,17 @@ class TestHardInstance:
             z = rng.normal(size=2 * n)
             z[rng.random(2 * n) < 0.2] = 0.0
             z[rng.random(2 * n) < 0.1] = -0.0
-            want = np.concatenate([a * z[n:] - b, b - a * z[:n]])
-            assert inst.saddle.operator(z).tobytes() == want.tobytes()
+            odd = rng.random(2 * n) < 0.1
+            z[odd] = rng.choice([np.inf, -np.inf, np.nan, 5e-324, 1e300], size=int(odd.sum()))
+            with np.errstate(invalid="ignore"):  # 0 * inf on the null rows
+                want = np.concatenate([a * z[n:] - b, b - a * z[:n]])
+                assert inst.saddle.operator(z).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length", [-1, 1])
+    def test_operator_rejects_a_wrong_length(self, length):
+        inst = build_hard_instance(6, n=9)
+        with pytest.raises(ValueError):
+            inst.saddle.operator(np.zeros(2 * inst.n + length))
 
     def test_norms(self):
         inst = build_hard_instance(6, R=2.0, D=3.0)

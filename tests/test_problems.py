@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -463,3 +464,95 @@ def test_preset_step_sizes_meet_rate_hypotheses(preset):
     steps = PRESET_STEP_SIZES[preset]
     assert check_eag_c_stepsize(steps["eag-c"] * R)
     assert 0 < steps["eag-v"] * R < 0.75
+
+
+# ---------------------------------------------------------------------------
+# each operator against its earlier form, kept here as the reference
+# ---------------------------------------------------------------------------
+
+AWKWARD = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300])
+
+
+def awkward_inputs(dim: int, count: int, seed: int):
+    """Seeded float64 vectors: every third one raw bit patterns (NaNs with
+    payloads and subnormals among them), the rest normal draws scaled by
+    10^e, e in [-300, 300]; a quarter of all entries replaced by AWKWARD."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            z = rng.integers(0, 2**64, size=dim, dtype=np.uint64).view(np.float64)
+        else:
+            z = rng.normal(size=dim) * 10.0 ** rng.integers(-300, 301, size=dim)
+        mask = rng.random(dim) < 0.25
+        z[mask] = rng.choice(AWKWARD, size=int(mask.sum()))
+        yield z
+
+
+def ouyang_apply_reference(v, out):
+    np.subtract(v[:0:-1], v[-2::-1], out=out[:-1])
+    out[-1] = v[0]
+    out *= 0.25
+    return out
+
+
+def ouyang_operator_reference(n):
+    b = np.full(n, 0.25)
+    h = np.zeros(n)
+    h[-1] = 0.25
+
+    def op(z):
+        g = np.empty(2 * n)
+        gx, gy = g[:n], g[n:]
+        ouyang_apply_reference(z[:n], gy)
+        ouyang_apply_reference(2.0 * gy - z[n:], gx)
+        gx -= h
+        gy -= b
+        return g
+
+    return op
+
+
+def huber_operator_reference(d, e):
+    def grad(u, eps):
+        return eps * math.copysign(1.0, u) if abs(u) >= eps else u
+
+    def op(z):
+        x, y = z[0], z[1]
+        return np.array([(1 - d) * grad(x, e) + d * y, -d * x + (1 - d) * grad(y, e)])
+
+    return op
+
+
+def bilinear_operator_reference(scale):
+    return lambda z: np.array([scale * z[1], -scale * z[0]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOperatorsMatchEarlierForms:
+    @pytest.mark.parametrize("n", [2, 3, 200])
+    def test_ouyang(self, n):
+        op, ref = make_ouyang_qp(n).operator, ouyang_operator_reference(n)
+        with np.errstate(all="ignore"):
+            for z in awkward_inputs(2 * n, 600, seed=n):
+                assert op(z).tobytes() == ref(z).tobytes()
+                got = _ouyang_apply(z[:n], np.empty(n))
+                assert got.tobytes() == ouyang_apply_reference(z[:n], np.empty(n)).tobytes()
+
+    @pytest.mark.parametrize("params", [HuberSaddleParams(), HuberSaddleParams(0.3, 1e-3)])
+    def test_huber(self, params):
+        op = make_huber_saddle(params).operator
+        ref = huber_operator_reference(params.delta, params.epsilon)
+        e = params.epsilon
+        kinks = [u for s in (e, -e) for u in (s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf))]
+        kink_pairs = [np.array([x, y]) for x in kinks + [0.0, -0.0] for y in kinks + [np.nan]]
+        with np.errstate(all="ignore"):
+            for z in [*kink_pairs, *awkward_inputs(2, 3000, seed=7)]:
+                assert op(z).tobytes() == ref(z).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 1e-300, 1e300])
+    def test_bilinear(self, scale):
+        op, ref = make_bilinear(scale).operator, bilinear_operator_reference(scale)
+        with np.errstate(all="ignore"):
+            for z in awkward_inputs(2, 3000, seed=8):
+                assert op(z).tobytes() == ref(z).tobytes()
